@@ -11,7 +11,8 @@
 
 use kfusion_bench::{chain, gbps, print_header, ratio, system, Table};
 use kfusion_core::cost::{split_select_chain, split_select_chain_summed, FusionBudget};
-use kfusion_core::microbench::{run_compute_only, run_with_cards, SelectChain, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run_compute_only, run_with_cards, SelectChain};
 use kfusion_ir::opt::OptLevel;
 use kfusion_relalg::profiles::STAGE_REGS;
 use kfusion_vgpu::DeviceSpec;
@@ -36,7 +37,7 @@ fn main() {
     print_header("Ablation 2", "fission segment count (1 SELECT, 1G elements)");
     let c = chain(1_000_000_000, &[0.5]);
     let cards = c.cardinalities().unwrap();
-    let serial = run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap();
+    let serial = run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap();
     let mut t = Table::new(["segments", "throughput GB/s", "vs serial"]);
     t.row(["serial".to_string(), gbps(serial.throughput_gbps()), ratio(1.0)]);
     for segments in [2u32, 4, 8, 16, 32, 64, 128, 256] {

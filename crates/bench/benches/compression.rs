@@ -16,7 +16,8 @@
 //! the three compose.
 
 use kfusion_bench::{gbps, print_header, system, Table};
-use kfusion_core::microbench::{SelectChain, CPU_GATHER_BW, FISSION_STREAMS};
+use kfusion_core::exec::{CPU_GATHER_BW, FISSION_STREAMS};
+use kfusion_core::microbench::SelectChain;
 use kfusion_prng::Rng;
 use kfusion_relalg::compress::{best_for, decompress_kernel};
 use kfusion_relalg::profiles;

@@ -22,7 +22,7 @@ fn main() {
         let base = unfused.total();
         let uf_f = unfused.label_time("filter");
         let uf_g = unfused.label_time("gather");
-        let f_f = fused.label_time("fused_filter");
+        let f_f = fused.label_time("fused_compute");
         let f_g = fused.label_time("fused_gather");
         t.row([
             n.to_string(),

@@ -8,7 +8,8 @@
 //! harnesses.
 
 use kfusion_bench::{print_header, system, time_median as time_it, Table};
-use kfusion_core::microbench::{run_with_cards, SelectChain, Strategy};
+use kfusion_core::exec::{Engine, Strategy};
+use kfusion_core::microbench::{run_with_cards, SelectChain};
 use kfusion_ir::builder::BodyBuilder;
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::interp::Machine;
@@ -54,7 +55,8 @@ fn main() {
     // Functional SELECT over 1 M rows.
     let input = gen::random_keys(1 << 20, 7);
     let pred = predicates::key_lt(gen::threshold_for_selectivity(0.5));
-    let secs = time_it(5, 3, || ops::select(std::hint::black_box(&input), &pred).unwrap());
+    let secs =
+        time_it(5, 3, || ops::select(std::hint::black_box(&input), &pred, Engine::Batch).unwrap());
     row(&mut t, "select_1m_rows", secs, Some(input.len() as u64));
 
     // DES scheduling of a 64-segment fission pipeline (synthetic: no data).
@@ -62,7 +64,7 @@ fn main() {
     let chain = SelectChain::auto(1 << 30, &[0.5, 0.5]);
     let cards = chain.cardinalities().unwrap();
     let secs = time_it(9, 20, || {
-        run_with_cards(&sys, &chain, Strategy::FusedFission { segments: 64 }, &cards).unwrap()
+        run_with_cards(&sys, &chain, Strategy::FusionFission { segments: 64 }, &cards).unwrap()
     });
     row(&mut t, "des_fused_fission_64seg", secs, None);
 

@@ -9,9 +9,9 @@
 //!    date-range predicate (the body inside the fused JOIN+SELECT block)
 //!    over a shipdate column, single-threaded, both engines.
 //! 2. `tpch_q1_functional` / `tpch_q6_functional` — wall-clock of the full
-//!    functional phase (`execute`, serial strategy) with the batch engine
-//!    toggled off/on. Simulated timings are engine-independent by
-//!    construction; only the host clock moves.
+//!    functional phase (`execute`, serial strategy) under
+//!    `ExecConfig::engine` scalar and batch. Simulated timings are
+//!    engine-independent by construction; only the host clock moves.
 //! 3. `recorder_overhead_disabled` — the batch inner loop with trace
 //!    instrumentation (`BatchMachine::run`, whose counters short-circuit
 //!    on a relaxed atomic when the recorder is off) against the bare
@@ -35,13 +35,13 @@
 //! ```
 
 use kfusion_bench::time_best;
-use kfusion_core::exec::{execute, ExecConfig, Strategy};
+use kfusion_core::exec::{execute, Engine, ExecConfig, Strategy};
 use kfusion_ir::batch::{BatchMachine, CompiledKernel, BATCH_ROWS};
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::{CmpOp, KernelBody, Value};
-use kfusion_relalg::{engine, predicates, Column, Relation};
+use kfusion_relalg::{predicates, Column, Relation};
 use kfusion_tpch::gen::{generate, TpchConfig, MAX_DAY, Q1_CUTOFF_DAY};
 use kfusion_tpch::{q1, q6};
 use kfusion_trace::allocwatch;
@@ -135,12 +135,10 @@ struct Case {
 /// Wall-clock a full functional-phase execution under both engines.
 fn functional_case(
     name: &'static str,
-    run: impl Fn() -> f64, // returns simulated total, for the invariance check
+    run: impl Fn(Engine) -> f64, // returns simulated total, for the invariance check
 ) -> Case {
-    engine::set_batch_enabled(false);
-    let (sim_scalar, t_scalar) = time_best(REPS, &run);
-    engine::set_batch_enabled(true);
-    let (sim_batch, t_batch) = time_best(REPS, &run);
+    let (sim_scalar, t_scalar) = time_best(REPS, || run(Engine::Scalar));
+    let (sim_batch, t_batch) = time_best(REPS, || run(Engine::Batch));
     assert_eq!(sim_scalar, sim_batch, "{name}: engine choice changed simulated time");
     Case {
         name,
@@ -197,11 +195,11 @@ fn main() {
     let q6_plan = q6::q6_plan();
     let q6_inputs = q6::q6_inputs(&db);
     let cfg = ExecConfig::new(Strategy::Serial, &sys);
-    cases.push(functional_case("tpch_q1_functional", || {
-        execute(&sys, &q1_plan, &q1_inputs, &cfg).unwrap().report.total()
+    cases.push(functional_case("tpch_q1_functional", |engine| {
+        execute(&sys, &q1_plan, &q1_inputs, &ExecConfig { engine, ..cfg }).unwrap().report.total()
     }));
-    cases.push(functional_case("tpch_q6_functional", || {
-        execute(&sys, &q6_plan, &q6_inputs, &cfg).unwrap().report.total()
+    cases.push(functional_case("tpch_q6_functional", |engine| {
+        execute(&sys, &q6_plan, &q6_inputs, &ExecConfig { engine, ..cfg }).unwrap().report.total()
     }));
 
     // Case 4: disabled-recorder overhead on the fused-Q1 predicate batch
@@ -233,7 +231,6 @@ fn main() {
     // operators' steady-state regions — the per-batch loops — must be zero;
     // whole-run allocations (per-morsel setup, output materialization) are
     // reported alongside as the denominator's context.
-    engine::set_batch_enabled(true);
     execute(&sys, &q1_plan, &q1_inputs, &cfg).unwrap();
     let batches_before = kfusion_trace::snapshot().counter("kfusion_batch_batches_total");
     allocwatch::reset();

@@ -15,9 +15,17 @@
 //! * [`Strategy::SerialRoundTrip`] — additionally bounces every
 //!   intermediate through the CPU (forced when GPU memory is short).
 //! * [`Strategy::Fusion`] — kernels merged per the fusion pass.
+//! * [`Strategy::Fission`] — unfused kernels whose leading streamable
+//!   operators are segmented and pipelined over streams (§IV-B).
 //! * [`Strategy::FusionFission`] — fused kernels whose leading streamable
 //!   groups are segmented and pipelined over streams to hide the input
 //!   transfer (the paper's combined optimization on Q1/Q21).
+//!
+//! The timing phase is one public entry point, [`build_schedule`]: it
+//! needs only per-node sizes ([`Stats`]), so the micro-benchmark harnesses
+//! ([`crate::microbench`]) drive it with measured or expected
+//! cardinalities of a SELECT chain, and every figure shares one schedule
+//! builder and one segmenter.
 
 use crate::cost::{group_regs, member_instr, FusionBudget};
 use crate::deps::streamable;
@@ -36,6 +44,8 @@ use kfusion_vgpu::{
     segment, Command, CommandClass, GpuSystem, HostMemKind, KernelProfile, LaunchConfig, Schedule,
 };
 
+pub use kfusion_relalg::engine::Engine;
+
 /// Execution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -45,12 +55,26 @@ pub enum Strategy {
     SerialRoundTrip,
     /// Kernel fusion only.
     Fusion,
+    /// Kernel fission alone: the unfused (singleton) plan with its
+    /// streamable leading operators pipelined.
+    Fission {
+        /// Segments per pipeline.
+        segments: u32,
+    },
     /// Kernel fusion plus fission on streamable leading groups.
     FusionFission {
         /// Segments per pipelined group.
         segments: u32,
     },
 }
+
+/// Streams the fission pipelines rotate segments over — the paper's
+/// minimum for full C2070 concurrency.
+pub const FISSION_STREAMS: usize = 3;
+
+/// Host-side reassembly bandwidth of the CPU gather that stitches a
+/// pipelined result back together (bytes/s).
+pub const CPU_GATHER_BW: f64 = 4.0e9;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -63,17 +87,21 @@ pub struct ExecConfig {
     pub mem_kind: HostMemKind,
     /// Register budget for the fusion pass.
     pub budget: FusionBudget,
+    /// Host engine for the functional phase. Answers and simulated times
+    /// are identical under both; only host wall-clock differs.
+    pub engine: Engine,
 }
 
 impl ExecConfig {
     /// A configuration for `strategy` with paper defaults (O3, paged
-    /// synchronous transfers, device register budget).
+    /// synchronous transfers, device register budget, batch engine).
     pub fn new(strategy: Strategy, system: &GpuSystem) -> Self {
         ExecConfig {
             strategy,
             level: OptLevel::O3,
             mem_kind: HostMemKind::Paged,
             budget: FusionBudget::for_device(&system.spec),
+            engine: Engine::Batch,
         }
     }
 }
@@ -132,10 +160,20 @@ pub fn prepare_fusion(graph: &PlanGraph, cfg: &ExecConfig) -> Result<FusionPlan,
     graph.validate()?;
     let _span =
         kfusion_trace::enabled().then(|| kfusion_trace::host_span("host", "prepare_fusion"));
-    Ok(match cfg.strategy {
-        Strategy::Serial | Strategy::SerialRoundTrip => singleton_plan(graph),
-        _ => fuse_plan(graph, &cfg.budget, cfg.level),
-    })
+    Ok(plan_for(graph, cfg))
+}
+
+/// The fusion plan `cfg.strategy` runs: singleton groups for the unfused
+/// strategies, the fusion pass's groups otherwise.
+fn plan_for(graph: &PlanGraph, cfg: &ExecConfig) -> FusionPlan {
+    match cfg.strategy {
+        Strategy::Serial | Strategy::SerialRoundTrip | Strategy::Fission { .. } => {
+            singleton_plan(graph)
+        }
+        Strategy::Fusion | Strategy::FusionFission { .. } => {
+            fuse_plan(graph, &cfg.budget, cfg.level)
+        }
+    }
 }
 
 /// The device schedule [`execute`] would simulate for `(graph, inputs,
@@ -157,7 +195,7 @@ pub fn plan_schedule(
     let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
     for wave in wavefronts(graph) {
         for id in wave {
-            slots[id] = Some(eval_node(graph, id, inputs, &slots, None)?);
+            slots[id] = Some(eval_node(graph, id, inputs, &slots, None, cfg.engine)?);
         }
     }
     let results: Vec<NodeVal> =
@@ -253,7 +291,7 @@ fn run_plan(
             if wave.len() == 1 {
                 let id = wave[0];
                 let stolen = steal_input(graph, id, roots, &consumers, &mut slots);
-                let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen)?;
+                let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen, cfg.engine)?;
                 stats.record(id, rel.as_rel());
                 slots[id] = Some(rel);
                 host_secs[id] = secs;
@@ -269,7 +307,13 @@ fn run_plan(
                         .zip(stolen.iter_mut().map(Option::take))
                         .map(|(&id, st)| {
                             let slots = &slots;
-                            (id, scope.spawn(move || eval_node_timed(graph, id, inputs, slots, st)))
+                            let engine = cfg.engine;
+                            (
+                                id,
+                                scope.spawn(move || {
+                                    eval_node_timed(graph, id, inputs, slots, st, engine)
+                                }),
+                            )
                         })
                         .collect();
                     handles
@@ -292,10 +336,7 @@ fn run_plan(
         let _phase = kfusion_trace::host_span("host", "timing_phase");
         let fusion = match prepared {
             Some(p) => p.clone(),
-            None => match cfg.strategy {
-                Strategy::Serial | Strategy::SerialRoundTrip => singleton_plan(graph),
-                _ => fuse_plan(graph, &cfg.budget, cfg.level),
-            },
+            None => plan_for(graph, cfg),
         };
         let schedule = build_schedule(system, graph, &fusion, &stats, cfg, roots);
         let timeline = system.simulate(&schedule)?;
@@ -337,13 +378,14 @@ fn eval_node_timed<'a>(
     inputs: &'a [Relation],
     slots: &[Option<NodeVal<'a>>],
     stolen: Option<Relation>,
+    engine: Engine,
 ) -> Result<(NodeVal<'a>, f64), CoreError> {
     let _span = kfusion_trace::enabled().then(|| {
         let name = format!("{}#{id}", graph.nodes[id].kind.name().to_lowercase());
         kfusion_trace::host_span("host", &name)
     });
     let t0 = std::time::Instant::now();
-    let rel = eval_node(graph, id, inputs, slots, stolen)?;
+    let rel = eval_node(graph, id, inputs, slots, stolen, engine)?;
     Ok((rel, t0.elapsed().as_secs_f64()))
 }
 
@@ -412,14 +454,15 @@ impl NodeVal<'_> {
     }
 }
 
-/// Evaluate one plan node; `slots` must hold the results of all its inputs
-/// (guaranteed by wavefront order).
+/// Evaluate one plan node on `engine`; `slots` must hold the results of
+/// all its inputs (guaranteed by wavefront order).
 fn eval_node<'a>(
     graph: &PlanGraph,
     id: NodeId,
     inputs: &'a [Relation],
     slots: &[Option<NodeVal<'a>>],
     stolen: Option<Relation>,
+    engine: Engine,
 ) -> Result<NodeVal<'a>, CoreError> {
     let node = &graph.nodes[id];
     let get = |i: usize| slots[node.inputs[i]].as_ref().expect("input wave completed").as_rel();
@@ -434,18 +477,18 @@ fn eval_node<'a>(
     // borrowing ones by construction (their tests compare the two).
     if let Some(rel) = stolen {
         return Ok(NodeVal::Owned(match &node.kind {
-            OpKind::ArithExtend { body } => ops::arith_extend_owned(rel, body)?,
+            OpKind::ArithExtend { body } => ops::arith_extend_owned(rel, body, engine)?,
             OpKind::Rekey { col } => ops::rekey_owned(rel, *col)?,
             _ => unreachable!("steal_input only feeds in-place operators"),
         }));
     }
     Ok(NodeVal::Owned(match &node.kind {
         OpKind::Input { .. } => unreachable!("handled above"),
-        OpKind::Select { pred } => ops::select(get(0), pred)?,
+        OpKind::Select { pred } => ops::select(get(0), pred, engine)?,
         OpKind::Project { keep } => ops::project(get(0), keep)?,
         OpKind::Rekey { col } => ops::rekey(get(0), *col)?,
-        OpKind::Arith { body } => ops::arith_map(get(0), body)?,
-        OpKind::ArithExtend { body } => ops::arith_extend(get(0), body)?,
+        OpKind::Arith { body } => ops::arith_map(get(0), body, engine)?,
+        OpKind::ArithExtend { body } => ops::arith_extend(get(0), body, engine)?,
         OpKind::Join => ops::join(get(0), get(1))?,
         OpKind::ColumnJoin => ops::column_join(get(0), get(1))?,
         OpKind::Semijoin => ops::semijoin(get(0), get(1))?,
@@ -523,10 +566,16 @@ fn singleton_plan(graph: &PlanGraph) -> FusionPlan {
     FusionPlan { group_of, groups }
 }
 
-/// Measured sizes from the functional phase.
-struct Stats {
-    rows: Vec<u64>,
-    row_bytes: Vec<f64>,
+/// Per-node sizes, indexed by [`NodeId`] — everything the timing phase
+/// needs from the data. [`execute`] measures them in the functional phase;
+/// the micro-benchmarks supply a SELECT chain's measured or expected
+/// cardinalities directly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stats {
+    /// Rows each node produces (plan inputs: rows uploaded).
+    pub rows: Vec<u64>,
+    /// Bytes per row of each node's output.
+    pub row_bytes: Vec<f64>,
 }
 
 impl Stats {
@@ -542,7 +591,8 @@ impl Stats {
         self.row_bytes[id] = rel.row_bytes() as f64;
     }
 
-    fn bytes(&self, id: NodeId) -> u64 {
+    /// Output bytes of node `id`.
+    pub fn bytes(&self, id: NodeId) -> u64 {
         (self.rows[id] as f64 * self.row_bytes[id]).ceil() as u64
     }
 }
@@ -801,7 +851,12 @@ fn kernel_cmds(system: &GpuSystem, kernels: Vec<(KernelProfile, u64)>) -> Vec<Co
         .collect()
 }
 
-fn build_schedule(
+/// The timing phase's single entry point: `cfg.strategy`'s device
+/// schedule for `graph` under fusion plan `plan` (the plan
+/// [`prepare_fusion`] settles on for `cfg`), with every transfer and
+/// kernel sized from the per-node `stats`. `roots` are the nodes whose
+/// results return to the host.
+pub fn build_schedule(
     system: &GpuSystem,
     graph: &PlanGraph,
     plan: &FusionPlan,
@@ -809,97 +864,122 @@ fn build_schedule(
     cfg: &ExecConfig,
     roots: &[NodeId],
 ) -> Schedule {
-    let inputs: Vec<NodeId> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
-        .map(|(id, _)| id)
-        .collect();
-
     match cfg.strategy {
-        Strategy::Serial | Strategy::Fusion => {
-            let mut cmds = Vec::new();
-            for &i in &inputs {
-                cmds.push(Command::h2d(
-                    format!("in#{i}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(i),
-                    cfg.mem_kind,
-                ));
-            }
-            for (gidx, members) in plan.groups.iter().enumerate() {
-                cmds.extend(kernel_cmds(
-                    system,
-                    group_kernels(graph, plan, stats, members, cfg.level, gidx, roots),
-                ));
-            }
-            for &r in roots {
-                cmds.push(Command::d2h(
-                    format!("out#{r}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(r),
-                    cfg.mem_kind,
-                ));
-            }
-            Schedule::serial(cmds)
+        Strategy::Serial | Strategy::SerialRoundTrip | Strategy::Fusion => {
+            serial_schedule(system, graph, plan, stats, cfg, roots)
         }
-        Strategy::SerialRoundTrip => {
-            let mut cmds = Vec::new();
-            for &i in &inputs {
-                cmds.push(Command::h2d(
-                    format!("in#{i}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(i),
-                    cfg.mem_kind,
-                ));
-            }
-            for (gidx, members) in plan.groups.iter().enumerate() {
-                cmds.extend(kernel_cmds(
-                    system,
-                    group_kernels(graph, plan, stats, members, cfg.level, gidx, roots),
-                ));
-                let node = *members.last().expect("groups are non-empty");
-                if !roots.contains(&node) {
-                    let b = stats.bytes(node);
-                    cmds.push(Command::d2h(
-                        format!("tmp_out#{node}"),
-                        CommandClass::RoundTrip,
-                        b,
-                        cfg.mem_kind,
-                    ));
-                    cmds.push(Command::h2d(
-                        format!("tmp_in#{node}"),
-                        CommandClass::RoundTrip,
-                        b,
-                        cfg.mem_kind,
-                    ));
-                }
-            }
-            for &r in roots {
-                cmds.push(Command::d2h(
-                    format!("out#{r}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(r),
-                    cfg.mem_kind,
-                ));
-            }
-            Schedule::serial(cmds)
-        }
-        Strategy::FusionFission { segments } => {
+        Strategy::Fission { segments } | Strategy::FusionFission { segments } => {
             fission_schedule(system, graph, plan, stats, cfg, segments, roots)
         }
     }
 }
 
+/// One stream: upload every plan input, run each group's kernels in plan
+/// order (bouncing each non-root group result through the host under
+/// [`Strategy::SerialRoundTrip`]), download the roots.
+fn serial_schedule(
+    system: &GpuSystem,
+    graph: &PlanGraph,
+    plan: &FusionPlan,
+    stats: &Stats,
+    cfg: &ExecConfig,
+    roots: &[NodeId],
+) -> Schedule {
+    let round_trip = cfg.strategy == Strategy::SerialRoundTrip;
+    let mut cmds: Vec<Command> = graph
+        .nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
+        .map(|(i, _)| {
+            Command::h2d(format!("in#{i}"), CommandClass::InputOutput, stats.bytes(i), cfg.mem_kind)
+        })
+        .collect();
+    for (gidx, members) in plan.groups.iter().enumerate() {
+        cmds.extend(kernel_cmds(
+            system,
+            group_kernels(graph, plan, stats, members, cfg.level, gidx, roots),
+        ));
+        let node = *members.last().expect("groups are non-empty");
+        if round_trip && !roots.contains(&node) {
+            let b = stats.bytes(node);
+            cmds.push(Command::d2h(
+                format!("tmp_out#{node}"),
+                CommandClass::RoundTrip,
+                b,
+                cfg.mem_kind,
+            ));
+            cmds.push(Command::h2d(
+                format!("tmp_in#{node}"),
+                CommandClass::RoundTrip,
+                b,
+                cfg.mem_kind,
+            ));
+        }
+    }
+    for &r in roots {
+        cmds.push(Command::d2h(
+            format!("out#{r}"),
+            CommandClass::InputOutput,
+            stats.bytes(r),
+            cfg.mem_kind,
+        ));
+    }
+    Schedule::serial(cmds)
+}
+
 /// Minimum bytes per fission segment for a pipeline to pay off.
 pub const MIN_SEGMENT_BYTES: u64 = 256 * 1024;
 
-/// Fusion + fission: streamable leading groups (all members elementwise,
-/// all external inputs plan inputs) are segmented and pipelined over three
-/// streams, hiding their H2D under compute (the paper's Q1: fission hides
-/// the input transfer of the fused JOIN block). Everything else runs
-/// serially afterwards on the main stream.
+/// A fission pipeline being collected: a head group fed by plan inputs,
+/// plus every later group fed only by the pipeline's own results.
+struct Pipeline {
+    /// The head's plan inputs, uploaded segment by segment.
+    inputs: Vec<NodeId>,
+    /// Every member group's kernels, in plan order.
+    kernels: Vec<(KernelProfile, u64)>,
+    /// Per-node: computed inside this pipeline.
+    produced: Vec<bool>,
+}
+
+impl Pipeline {
+    fn join(&mut self, members: &[NodeId], kernels: Vec<(KernelProfile, u64)>) {
+        for &m in members {
+            self.produced[m] = true;
+        }
+        self.kernels.extend(kernels);
+    }
+}
+
+/// The exact segmentation of `total` units (bytes or elements). Under the
+/// `validate` feature it is proved to cover `0..total` exactly once.
+fn segment_parts(total: u64, segments: u32, what: &str) -> Vec<segment::SegRange> {
+    let parts = segment::partition(total, segments);
+    #[cfg(feature = "validate")]
+    if let Err(err) = segment::check_partition(total, &parts) {
+        panic!("fission segments do not partition the {total} {what}: {err}");
+    }
+    #[cfg(not(feature = "validate"))]
+    let _ = what;
+    parts
+}
+
+/// Kernel fission (Fig. 13 / Fig. 15), applied judiciously. A streamable
+/// group whose external inputs are all plan inputs heads a pipeline when
+/// the cost model says hiding its upload pays; each of its segments runs
+/// H2D → kernels on one of [`FISSION_STREAMS`] rotating streams, so one
+/// segment's transfer hides under another's compute. Two rules extend a
+/// pipeline:
+///
+/// * a later streamable group fed only by the pipeline's results joins it
+///   segment by segment — it has no transfer of its own to hide, so no
+///   cost check applies;
+/// * a plan root computed inside the pipeline downloads per segment, and
+///   a host-stream `cpu_gather` reassembles it (§IV-C), overlapping later
+///   segments' GPU work.
+///
+/// Every other group runs serially on the main stream after joining the
+/// pending pipelines. Segment sizes come from [`segment::partition`].
 fn fission_schedule(
     system: &GpuSystem,
     graph: &PlanGraph,
@@ -911,25 +991,31 @@ fn fission_schedule(
 ) -> Schedule {
     let mut sched = Schedule::new();
     let main = sched.add_stream();
-    let pipes: Vec<usize> = (0..3).map(|_| sched.add_stream()).collect();
-    let mut next_event = 0u32;
-    let mut pending_events: Vec<EventId> = Vec::new();
+    let pipes: Vec<usize> = (0..FISSION_STREAMS).map(|_| sched.add_stream()).collect();
+    let mut f = FissionStreams {
+        sched,
+        main,
+        pipes,
+        host: None,
+        next_event: 0,
+        pending: Vec::new(),
+        downloaded: vec![false; graph.len()],
+    };
     // Per-plan bitset: O(1) "already uploaded?" checks however many inputs
     // the plan has.
     let mut h2d_done: Vec<bool> = vec![false; graph.len()];
 
-    // Fission is applied judiciously: only to streamable leading groups,
-    // only with enough data per segment, and only when the cost model says
-    // the pipeline beats synchronous transfers — async copies run below
+    // Only a streamable group fed by plan inputs with enough data per
+    // segment may head a pipeline, and only when the cost model says the
+    // pipeline beats synchronous transfers — async copies run below
     // bandwidthTest rates, so hiding a transfer that is cheap relative to
     // the group's compute can *lose* (the paper's §IV-A point that "the
     // application of kernel fission must distinguish between such cases").
-    let should_pipeline = |members: &[NodeId], kernels: &[(KernelProfile, u64)]| {
-        let externals = group_externals(graph, members);
+    let should_pipeline = |externals: &[NodeId], kernels: &[(KernelProfile, u64)]| {
         let bytes: u64 = externals.iter().map(|&e| stats.bytes(e)).sum();
-        let structurally_ok = members.iter().all(|&m| streamable(&graph.nodes[m].kind))
-            && externals.iter().all(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
-            && bytes >= segments as u64 * MIN_SEGMENT_BYTES;
+        let structurally_ok =
+            externals.iter().all(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
+                && bytes >= segments as u64 * MIN_SEGMENT_BYTES;
         if !structurally_ok {
             return false;
         }
@@ -968,114 +1054,69 @@ fn fission_schedule(
         t_pipe < t_serial
     };
 
+    let mut current: Option<Pipeline> = None;
     for (gidx, members) in plan.groups.iter().enumerate() {
         let kernels = group_kernels(graph, plan, stats, members, cfg.level, gidx, roots);
-        if segments > 1 && should_pipeline(members, &kernels) {
-            // Pipeline this group: segment its inputs and kernels. Segment
-            // sizes come from exact balanced partitions — the previous
-            // `ceil`/`round` scaling could over- or under-cover the transfer
-            // and iteration space (e.g. `round(10/4) = 3` per segment covers
-            // 12 of 10 elements), which translation validation now rejects.
-            let externals = group_externals(graph, members);
-            let byte_parts: Vec<Vec<segment::SegRange>> =
-                externals.iter().map(|&e| segment::partition(stats.bytes(e), segments)).collect();
-            let elem_parts: Vec<Vec<segment::SegRange>> =
-                kernels.iter().map(|(_, n)| segment::partition(*n, segments)).collect();
-            #[cfg(feature = "validate")]
-            {
-                for (&e, parts) in externals.iter().zip(&byte_parts) {
-                    if let Err(err) = segment::check_partition(stats.bytes(e), parts) {
-                        panic!(
-                            "fission segments for input #{e} do not partition its \
-                             {} transfer bytes: {err}",
-                            stats.bytes(e)
-                        );
-                    }
-                }
-                for ((_, n), parts) in kernels.iter().zip(&elem_parts) {
-                    if let Err(err) = segment::check_partition(*n, parts) {
-                        panic!(
-                            "fission segments do not partition the {n}-element \
-                             iteration space: {err}"
-                        );
-                    }
-                }
+        let externals = group_externals(graph, members);
+        let segmentable = segments > 1 && members.iter().all(|&m| streamable(&graph.nodes[m].kind));
+        if let Some(p) = current.as_mut() {
+            if segmentable && externals.iter().all(|&e| p.produced[e]) {
+                p.join(members, kernels);
+                continue;
             }
-            for s in 0..segments {
-                let stream = pipes[(s as usize) % pipes.len()];
-                for (ei, &e) in externals.iter().enumerate() {
-                    let b = byte_parts[ei][s as usize].len();
-                    sched.push(
-                        stream,
-                        Command::h2d(
-                            format!("in#{e}[seg{s}]"),
-                            CommandClass::InputOutput,
-                            b,
-                            HostMemKind::Pinned,
-                        ),
-                    );
-                }
-                for (ki, (p, _)) in kernels.iter().enumerate() {
-                    let seg_n = elem_parts[ki][s as usize].len();
-                    let mut p = p.clone();
-                    p.name = format!("{}[seg{s}]", p.name);
-                    let launch = LaunchConfig::for_elements(seg_n.max(1), &system.spec);
-                    let mut cmd = Command::kernel(p, launch, seg_n);
-                    // Declare the segment inputs so the hazard detector can
-                    // prove the kernel runs after its own segment's upload
-                    // (same stream) and never against another stream's.
-                    for &e in &externals {
-                        cmd = cmd.reading(format!("in#{e}[seg{s}]"));
-                    }
-                    sched.push(stream, cmd);
-                }
-                let ev = EventId(next_event);
-                next_event += 1;
-                sched.push(stream, Command::record(ev));
-                pending_events.push(ev);
-            }
+        }
+        if let Some(p) = current.take() {
+            f.emit(p, system, stats, segments, roots);
+        }
+        if segmentable && should_pipeline(&externals, &kernels) {
             for &e in &externals {
                 h2d_done[e] = true;
             }
-        } else {
-            // Serial on the main stream; first join any pending pipelines
-            // and upload any inputs the pipelines didn't cover.
-            for ev in pending_events.drain(..) {
-                sched.push(main, Command::wait(ev));
-            }
-            let input_externals: Vec<NodeId> = group_externals(graph, members)
-                .into_iter()
-                .filter(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
-                .collect();
-            for &e in &input_externals {
-                if !h2d_done[e] {
-                    sched.push(
-                        main,
-                        Command::h2d(
-                            format!("in#{e}"),
-                            CommandClass::InputOutput,
-                            stats.bytes(e),
-                            cfg.mem_kind,
-                        ),
-                    );
-                    h2d_done[e] = true;
-                }
-            }
-            for cmd in kernel_cmds(system, kernels) {
-                // Inputs uploaded segment-wise by an earlier pipeline carry
-                // per-segment buffer names; reads of the whole-input name
-                // then have no writer and are skipped by the detector, while
-                // same-stream uploads above are proven ordered.
-                let cmd = input_externals.iter().fold(cmd, |c, &e| c.reading(format!("in#{e}")));
-                sched.push(main, cmd);
+            let mut p = Pipeline {
+                inputs: externals,
+                kernels: Vec::new(),
+                produced: vec![false; graph.len()],
+            };
+            p.join(members, kernels);
+            current = Some(p);
+            continue;
+        }
+        // Serial on the main stream; first join any pending pipelines
+        // and upload any inputs the pipelines didn't cover.
+        f.join_pending();
+        let input_externals: Vec<NodeId> = externals
+            .into_iter()
+            .filter(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
+            .collect();
+        for &e in &input_externals {
+            if !h2d_done[e] {
+                f.sched.push(
+                    main,
+                    Command::h2d(
+                        format!("in#{e}"),
+                        CommandClass::InputOutput,
+                        stats.bytes(e),
+                        cfg.mem_kind,
+                    ),
+                );
+                h2d_done[e] = true;
             }
         }
+        for cmd in kernel_cmds(system, kernels) {
+            // Inputs uploaded segment-wise by an earlier pipeline carry
+            // per-segment buffer names; reads of the whole-input name
+            // then have no writer and are skipped by the detector, while
+            // same-stream uploads above are proven ordered.
+            let cmd = input_externals.iter().fold(cmd, |c, &e| c.reading(format!("in#{e}")));
+            f.sched.push(main, cmd);
+        }
     }
-    for ev in pending_events.drain(..) {
-        sched.push(main, Command::wait(ev));
+    if let Some(p) = current.take() {
+        f.emit(p, system, stats, segments, roots);
     }
-    for &r in roots {
-        sched.push(
+    f.join_pending();
+    for &r in roots.iter().filter(|&&r| !f.downloaded[r]) {
+        f.sched.push(
             main,
             Command::d2h(
                 format!("out#{r}"),
@@ -1085,7 +1126,116 @@ fn fission_schedule(
             ),
         );
     }
-    Schedule { streams: sched.streams }
+    Schedule { streams: f.sched.streams }
+}
+
+/// The streams and synchronization state of a fission schedule under
+/// construction.
+struct FissionStreams {
+    sched: Schedule,
+    main: usize,
+    pipes: Vec<usize>,
+    /// Host stream for the CPU gathers, added when a pipeline first
+    /// downloads a root.
+    host: Option<usize>,
+    next_event: u32,
+    /// Segment-completion events the main stream has not joined yet.
+    pending: Vec<EventId>,
+    /// Per-node: a root already downloaded segment by segment.
+    downloaded: Vec<bool>,
+}
+
+impl FissionStreams {
+    /// Make the main stream wait for every pipeline segment so far.
+    fn join_pending(&mut self) {
+        for ev in self.pending.drain(..) {
+            self.sched.push(self.main, Command::wait(ev));
+        }
+    }
+
+    /// Emit a collected pipeline segment by segment: each segment's
+    /// uploads, every member kernel and its root downloads run in order on
+    /// one rotating stream, which then records the event the main stream
+    /// (and the segment's CPU gather) waits on.
+    fn emit(
+        &mut self,
+        p: Pipeline,
+        system: &GpuSystem,
+        stats: &Stats,
+        segments: u32,
+        roots: &[NodeId],
+    ) {
+        let outs: Vec<NodeId> = roots.iter().copied().filter(|&r| p.produced[r]).collect();
+        let in_parts: Vec<_> = p
+            .inputs
+            .iter()
+            .map(|&e| segment_parts(stats.bytes(e), segments, "input transfer bytes"))
+            .collect();
+        let elem_parts: Vec<_> = p
+            .kernels
+            .iter()
+            .map(|(_, n)| segment_parts(*n, segments, "kernel iteration-space elements"))
+            .collect();
+        let out_parts: Vec<_> = outs
+            .iter()
+            .map(|&r| segment_parts(stats.bytes(r), segments, "output transfer bytes"))
+            .collect();
+        for s in 0..segments as usize {
+            let stream = self.pipes[s % self.pipes.len()];
+            for (&e, parts) in p.inputs.iter().zip(&in_parts) {
+                self.sched.push(
+                    stream,
+                    Command::h2d(
+                        format!("in#{e}[seg{s}]"),
+                        CommandClass::InputOutput,
+                        parts[s].len(),
+                        HostMemKind::Pinned,
+                    ),
+                );
+            }
+            for ((prof, _), parts) in p.kernels.iter().zip(&elem_parts) {
+                let seg_n = parts[s].len();
+                let mut prof = prof.clone();
+                prof.name = format!("{}[seg{s}]", prof.name);
+                let launch = LaunchConfig::for_elements(seg_n.max(1), &system.spec);
+                let mut cmd = Command::kernel(prof, launch, seg_n);
+                // Declare the segment inputs so the hazard detector can
+                // prove the kernel runs after its own segment's upload
+                // (same stream) and never against another stream's.
+                for &e in &p.inputs {
+                    cmd = cmd.reading(format!("in#{e}[seg{s}]"));
+                }
+                self.sched.push(stream, cmd);
+            }
+            for (&r, parts) in outs.iter().zip(&out_parts) {
+                self.sched.push(
+                    stream,
+                    Command::d2h(
+                        format!("out#{r}[seg{s}]"),
+                        CommandClass::InputOutput,
+                        parts[s].len(),
+                        HostMemKind::Pinned,
+                    ),
+                );
+            }
+            let ev = EventId(self.next_event);
+            self.next_event += 1;
+            self.sched.push(stream, Command::record(ev));
+            self.pending.push(ev);
+            if !outs.is_empty() {
+                let host = *self.host.get_or_insert_with(|| self.sched.add_stream());
+                let bytes: u64 = out_parts.iter().map(|parts| parts[s].len()).sum();
+                self.sched.push(host, Command::wait(ev));
+                self.sched.push(
+                    host,
+                    Command::host_work(format!("cpu_gather[seg{s}]"), bytes as f64 / CPU_GATHER_BW),
+                );
+            }
+        }
+        for r in outs {
+            self.downloaded[r] = true;
+        }
+    }
 }
 
 #[cfg(test)]

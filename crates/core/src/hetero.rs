@@ -13,7 +13,8 @@
 //! pipeline's transfer rate.
 
 use crate::cost::{split_select_chain, FusionBudget};
-use crate::microbench::{SelectChain, CPU_GATHER_BW, FISSION_STREAMS};
+use crate::exec::{CPU_GATHER_BW, FISSION_STREAMS};
+use crate::microbench::SelectChain;
 use crate::report::Report;
 use crate::CoreError;
 use kfusion_ir::fuse::fuse_predicate_chain;

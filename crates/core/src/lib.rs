@@ -21,10 +21,10 @@
 //!   (Fig. 2(f)) under a register-pressure budget.
 //! * [`cost`] — the cost model bounding fusion depth.
 //! * [`exec`] — the plan executor: functional evaluation + simulated
-//!   timing under the paper's strategies (serial / fusion / fission /
-//!   fusion+fission).
-//! * [`microbench`] — the back-to-back SELECT experiment engine behind the
-//!   paper's Figs. 4(a), 8–12, 14 and 16.
+//!   timing under the paper's strategies (serial / round trip / fusion /
+//!   fission / fusion+fission).
+//! * [`microbench`] — the back-to-back SELECT workload behind the paper's
+//!   Figs. 4(a), 8–12, 14 and 16, timed through [`exec::build_schedule`].
 //! * [`report`] — timing reports with the figures' breakdowns, plus
 //!   Chrome-trace artifact export.
 //! * [`explain`] — `EXPLAIN ANALYZE` trees: per-node rows, simulated and
@@ -35,13 +35,14 @@
 //! # Example: fuse and run a SELECT chain
 //!
 //! ```
-//! use kfusion_core::microbench::{run, SelectChain, Strategy};
+//! use kfusion_core::exec::Strategy;
+//! use kfusion_core::microbench::{run, SelectChain};
 //! use kfusion_vgpu::GpuSystem;
 //!
 //! let system = GpuSystem::c2070();
 //! let chain = SelectChain::auto(1 << 20, &[0.5, 0.5]);
-//! let serial = run(&system, &chain, Strategy::WithoutRoundTrip).unwrap();
-//! let fused = run(&system, &chain, Strategy::Fused).unwrap();
+//! let serial = run(&system, &chain, Strategy::Serial).unwrap();
+//! let fused = run(&system, &chain, Strategy::Fusion).unwrap();
 //! assert!(fused.total() < serial.total());
 //! ```
 

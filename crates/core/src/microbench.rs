@@ -1,12 +1,13 @@
-//! Back-to-back SELECT experiments — the engine behind the paper's
+//! Back-to-back SELECT experiments — the workload behind the paper's
 //! micro-benchmark figures (Figs. 4(a), 8, 9, 10, 11, 12, 14, 16).
 //!
 //! A [`SelectChain`] is the paper's workload: `k` SELECT operators applied
 //! in sequence to `n` random 32-bit elements, each filtering an independent
 //! pseudo-attribute derived from the element by multiplicative hashing (so
-//! two 50% selections keep 25%, as the paper states). [`run`] executes the
-//! chain under one of the paper's five strategies on the virtual GPU and
-//! returns a [`Report`].
+//! two 50% selections keep 25%, as the paper states). [`run`] expresses the
+//! chain as a plan ([`SelectChain::plan`]) and times it under one of the
+//! executor's strategies with [`exec::build_schedule`] — the same schedule
+//! builder and segmenter the TPC-H figures use — returning a [`Report`].
 //!
 //! Data modes: `Real` generates, filters, and validates actual relations
 //! (cardinalities are *measured*); `Synthetic` uses the expected
@@ -14,15 +15,18 @@
 //! element x-axes without materializing 16 GB (the command stream and cost
 //! model are identical — DESIGN.md §2 documents this substitution).
 
-use crate::cost::{split_select_chain, FusionBudget};
+use crate::exec::{self, ExecConfig, Stats, Strategy};
+use crate::graph::{OpKind, PlanGraph};
 use crate::report::Report;
 use crate::CoreError;
 use kfusion_ir::builder::{BodyBuilder, Expr};
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::opt::OptLevel;
 use kfusion_ir::KernelBody;
+use kfusion_relalg::engine::Engine;
 use kfusion_relalg::profiles;
 use kfusion_relalg::{gen, ops, Relation};
+use kfusion_vgpu::des::CommandKind;
 use kfusion_vgpu::{Command, CommandClass, GpuSystem, HostMemKind, LaunchConfig, Schedule};
 
 /// Where cardinalities come from.
@@ -136,38 +140,34 @@ impl SelectChain {
     fn bytes(&self, elems: u64) -> u64 {
         (elems as f64 * self.row_bytes).ceil() as u64
     }
+
+    /// The chain as a plan: one `Input` followed by [`SelectChain::depth`]
+    /// `Select` nodes, node `i + 1` applying [`SelectChain::predicate`]`(i)`.
+    pub fn plan(&self) -> PlanGraph {
+        let mut g = PlanGraph::new();
+        let mut cur = g.input(0);
+        for i in 0..self.depth() {
+            cur = g.add(OpKind::Select { pred: self.predicate(i) }, vec![cur]);
+        }
+        g
+    }
+
+    /// `strategy`'s device schedule for this chain, sized from its
+    /// cumulative cardinalities `cards`: plan node `i` holds `cards[i]`
+    /// rows of `row_bytes` each.
+    pub(crate) fn schedule(
+        &self,
+        system: &GpuSystem,
+        strategy: Strategy,
+        cards: &[u64],
+    ) -> Result<Schedule, CoreError> {
+        let graph = self.plan();
+        let cfg = ExecConfig { level: self.level, ..ExecConfig::new(strategy, system) };
+        let fusion = exec::prepare_fusion(&graph, &cfg)?;
+        let stats = Stats { rows: cards.to_vec(), row_bytes: vec![self.row_bytes; cards.len()] };
+        Ok(exec::build_schedule(system, &graph, &fusion, &stats, &cfg, &[graph.root]))
+    }
 }
-
-/// The paper's execution strategies for a SELECT chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Each SELECT round-trips its result to the CPU (§III-B "with round
-    /// trip" — forced when GPU memory cannot hold intermediates).
-    WithRoundTrip,
-    /// Intermediates stay in GPU memory ("without round trip").
-    WithoutRoundTrip,
-    /// One fused kernel per register-budget run ("fused").
-    Fused,
-    /// Unfused kernels, input segmented and pipelined over streams
-    /// (kernel fission, §IV-B).
-    Fission {
-        /// Number of input segments.
-        segments: u32,
-    },
-    /// Fused kernels over pipelined segments (§IV-C).
-    FusedFission {
-        /// Number of input segments.
-        segments: u32,
-    },
-}
-
-/// Streams used by the fission pipelines — the paper's minimum for full
-/// C2070 concurrency.
-pub const FISSION_STREAMS: usize = 3;
-
-/// Host-side reassembly bandwidth for the CPU gather that fission needs
-/// (bytes/s).
-pub const CPU_GATHER_BW: f64 = 4.0e9;
 
 /// Execute `chain` under `strategy` on `system`, returning the simulated
 /// report. In `Real` mode the relations are actually filtered (and the
@@ -189,26 +189,28 @@ pub fn run_with_cards(
     strategy: Strategy,
     cards: &[u64],
 ) -> Result<Report, CoreError> {
-    let schedule = build_schedule(system, chain, strategy, cards);
-    let timeline = system.simulate(&schedule)?;
+    let timeline = system.simulate(&chain.schedule(system, strategy, cards)?)?;
     Ok(Report::from_row_bytes(timeline, chain.n, chain.row_bytes))
 }
 
-/// Compute-only run: kernels without any PCIe transfers, as the paper's
-/// Fig. 4(a)/8(b)/10/11 measure. `fused` selects fused vs unfused kernels.
+/// Compute-only run: the kernels of the [`Strategy::Fusion`] (`fused`) or
+/// [`Strategy::Serial`] schedule without any PCIe transfers, as the paper's
+/// Fig. 4(a)/8(b)/10/11 measure.
 pub fn run_compute_only(
     system: &GpuSystem,
     chain: &SelectChain,
     fused: bool,
 ) -> Result<Report, CoreError> {
     let cards = chain.cardinalities()?;
-    let mut cmds = Vec::new();
-    if fused {
-        emit_fused_kernels(&mut cmds, system, chain, &cards, 1.0, "");
-    } else {
-        emit_unfused_kernels(&mut cmds, system, chain, &cards, 1.0, "");
-    }
-    let timeline = system.simulate(&Schedule::serial(cmds))?;
+    let strategy = if fused { Strategy::Fusion } else { Strategy::Serial };
+    let kernels: Vec<Command> = chain
+        .schedule(system, strategy, &cards)?
+        .streams
+        .concat()
+        .into_iter()
+        .filter(|c| matches!(c.kind, CommandKind::Kernel { .. }))
+        .collect();
+    let timeline = system.simulate(&Schedule::serial(kernels))?;
     Ok(Report::from_row_bytes(timeline, chain.n, chain.row_bytes))
 }
 
@@ -243,239 +245,6 @@ fn stage_sel(cards: &[u64], i: usize) -> f64 {
     } else {
         cards[i + 1] as f64 / cards[i] as f64
     }
-}
-
-/// Append the unfused per-SELECT kernels (filter + gather per stage) for a
-/// `scale` fraction of the input, labels suffixed with `tag`.
-fn emit_unfused_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    scale: f64,
-    tag: &str,
-) {
-    for i in 0..chain.depth() {
-        let in_elems = ((cards[i] as f64) * scale).round() as u64;
-        let out_elems = ((cards[i + 1] as f64) * scale).round() as u64;
-        let sel = stage_sel(cards, i);
-        let filter = profiles::select_filter(
-            format!("filter{i}{tag}"),
-            &chain.predicate(i),
-            chain.level,
-            chain.row_bytes,
-            sel,
-        );
-        let launch = LaunchConfig::for_elements(in_elems, &system.spec);
-        cmds.push(Command::kernel(filter, launch, in_elems));
-        let gather = profiles::select_gather(format!("gather{i}{tag}"), chain.row_bytes);
-        let glaunch = LaunchConfig::for_elements(out_elems.max(1), &system.spec);
-        cmds.push(Command::kernel(gather, glaunch, out_elems));
-    }
-}
-
-/// Append the fused kernels: one filter (fused predicate) + one gather per
-/// register-budget run.
-fn emit_fused_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    scale: f64,
-    tag: &str,
-) {
-    let budget = FusionBudget::for_device(&system.spec);
-    let runs = split_select_chain(&chain.predicates(), &budget, chain.level);
-    let mut stage = 0usize;
-    for (r, run) in runs.iter().enumerate() {
-        let in_elems = ((cards[stage] as f64) * scale).round() as u64;
-        let out_stage = stage + run.len();
-        let out_elems = ((cards[out_stage] as f64) * scale).round() as u64;
-        let sel =
-            if cards[stage] == 0 { 0.0 } else { cards[out_stage] as f64 / cards[stage] as f64 };
-        let fused_pred = fuse_predicate_chain(run);
-        let filter = profiles::select_filter(
-            format!("fused_filter{r}{tag}"),
-            &fused_pred,
-            chain.level,
-            chain.row_bytes,
-            sel,
-        );
-        let launch = LaunchConfig::for_elements(in_elems, &system.spec);
-        cmds.push(Command::kernel(filter, launch, in_elems));
-        let gather = profiles::select_gather(format!("fused_gather{r}{tag}"), chain.row_bytes);
-        let glaunch = LaunchConfig::for_elements(out_elems.max(1), &system.spec);
-        cmds.push(Command::kernel(gather, glaunch, out_elems));
-        stage = out_stage;
-    }
-}
-
-fn build_schedule(
-    system: &GpuSystem,
-    chain: &SelectChain,
-    strategy: Strategy,
-    cards: &[u64],
-) -> Schedule {
-    let k = chain.depth();
-    let final_out = cards[k];
-    match strategy {
-        Strategy::WithRoundTrip => {
-            let mut cmds = Vec::new();
-            for i in 0..k {
-                let class_in =
-                    if i == 0 { CommandClass::InputOutput } else { CommandClass::RoundTrip };
-                cmds.push(Command::h2d(
-                    format!("in{i}"),
-                    class_in,
-                    chain.bytes(cards[i]),
-                    HostMemKind::Paged,
-                ));
-                emit_stage_kernels(&mut cmds, system, chain, cards, i, 1.0, "");
-                let class_out =
-                    if i == k - 1 { CommandClass::InputOutput } else { CommandClass::RoundTrip };
-                cmds.push(Command::d2h(
-                    format!("out{i}"),
-                    class_out,
-                    chain.bytes(cards[i + 1]),
-                    HostMemKind::Paged,
-                ));
-            }
-            Schedule::serial(cmds)
-        }
-        Strategy::WithoutRoundTrip => {
-            let mut cmds = vec![Command::h2d(
-                "in",
-                CommandClass::InputOutput,
-                chain.bytes(chain.n),
-                HostMemKind::Paged,
-            )];
-            emit_unfused_kernels(&mut cmds, system, chain, cards, 1.0, "");
-            cmds.push(Command::d2h(
-                "out",
-                CommandClass::InputOutput,
-                chain.bytes(final_out),
-                HostMemKind::Paged,
-            ));
-            Schedule::serial(cmds)
-        }
-        Strategy::Fused => {
-            let mut cmds = vec![Command::h2d(
-                "in",
-                CommandClass::InputOutput,
-                chain.bytes(chain.n),
-                HostMemKind::Paged,
-            )];
-            emit_fused_kernels(&mut cmds, system, chain, cards, 1.0, "");
-            cmds.push(Command::d2h(
-                "out",
-                CommandClass::InputOutput,
-                chain.bytes(final_out),
-                HostMemKind::Paged,
-            ));
-            Schedule::serial(cmds)
-        }
-        Strategy::Fission { segments } => pipelined_schedule(system, chain, cards, segments, false),
-        Strategy::FusedFission { segments } => {
-            pipelined_schedule(system, chain, cards, segments, true)
-        }
-    }
-}
-
-/// Emit exactly stage `i`'s filter+gather kernels.
-fn emit_stage_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    i: usize,
-    scale: f64,
-    tag: &str,
-) {
-    let in_elems = ((cards[i] as f64) * scale).round() as u64;
-    let out_elems = ((cards[i + 1] as f64) * scale).round() as u64;
-    let sel = stage_sel(cards, i);
-    let filter = profiles::select_filter(
-        format!("filter{i}{tag}"),
-        &chain.predicate(i),
-        chain.level,
-        chain.row_bytes,
-        sel,
-    );
-    cmds.push(Command::kernel(
-        filter,
-        LaunchConfig::for_elements(in_elems, &system.spec),
-        in_elems,
-    ));
-    let gather = profiles::select_gather(format!("gather{i}{tag}"), chain.row_bytes);
-    cmds.push(Command::kernel(
-        gather,
-        LaunchConfig::for_elements(out_elems.max(1), &system.spec),
-        out_elems,
-    ));
-}
-
-/// The fission pipeline (Fig. 13 / Fig. 15): the input is cut into
-/// segments; each segment's H2D → kernels → D2H runs on one of
-/// [`FISSION_STREAMS`] rotating streams, so transfers of one segment hide
-/// under compute of another. Fission requires pinned memory (§IV-B). The
-/// per-segment results are reassembled by a CPU-side gather (§IV-C), which
-/// occupies the host engine and overlaps with GPU work.
-fn pipelined_schedule(
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    segments: u32,
-    fused: bool,
-) -> Schedule {
-    let mut sched = Schedule::new();
-    for _ in 0..FISSION_STREAMS {
-        sched.add_stream();
-    }
-    let host_stream = sched.add_stream();
-    let scale = 1.0 / segments as f64;
-    let seg_out_bytes = chain.bytes(((cards[chain.depth()] as f64) * scale).round() as u64);
-    for s in 0..segments {
-        let next_event = s; // one sync event per segment
-        let stream = (s as usize) % FISSION_STREAMS;
-        let tag = format!("[seg{s}]");
-        sched.push(
-            stream,
-            Command::h2d(
-                format!("in{tag}"),
-                CommandClass::InputOutput,
-                chain.bytes(((chain.n as f64) * scale).round() as u64),
-                HostMemKind::Pinned,
-            ),
-        );
-        let mut kernels = Vec::new();
-        if fused {
-            emit_fused_kernels(&mut kernels, system, chain, cards, scale, &tag);
-        } else {
-            emit_unfused_kernels(&mut kernels, system, chain, cards, scale, &tag);
-        }
-        for kcmd in kernels {
-            sched.push(stream, kcmd);
-        }
-        sched.push(
-            stream,
-            Command::d2h(
-                format!("out{tag}"),
-                CommandClass::InputOutput,
-                seg_out_bytes,
-                HostMemKind::Pinned,
-            ),
-        );
-        // CPU gather for this segment, ordered after its D2H via an event;
-        // runs on the host engine concurrently with later segments.
-        let ev = kfusion_vgpu::des::EventId(next_event);
-        sched.push(stream, Command::record(ev));
-        sched.push(host_stream, Command::wait(ev));
-        sched.push(
-            host_stream,
-            Command::host_work(format!("cpu_gather{tag}"), seg_out_bytes as f64 / CPU_GATHER_BW),
-        );
-    }
-    sched
 }
 
 /// Fig. 12's three configurations for running SELECT(s) over `n` total
@@ -566,7 +335,7 @@ pub fn verify_chain_equivalence(chain: &SelectChain) -> Result<bool, CoreError> 
     let preds = chain.predicates();
     let (unfused, _) = ops::select_chain_unfused(&input, &preds)?;
     let fused_pred = fuse_predicate_chain(&preds);
-    let fused = ops::select(&input, &fused_pred)?;
+    let fused = ops::select(&input, &fused_pred, Engine::Batch)?;
     Ok(unfused == fused)
 }
 
@@ -603,9 +372,9 @@ mod tests {
         let chain = chain_2x50(1 << 22);
         let cards = chain.cardinalities().unwrap();
         let s = sys();
-        let with_rt = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-        let without = run_with_cards(&s, &chain, Strategy::WithoutRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+        let with_rt = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+        let without = run_with_cards(&s, &chain, Strategy::Serial, &cards).unwrap();
+        let fused = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
         assert!(
             fused.total() < without.total(),
             "fused {} vs without {}",
@@ -631,7 +400,7 @@ mod tests {
         // Fig. 9: round trip ≈ half of the with-round-trip execution.
         let chain = chain_2x50(1 << 24);
         let s = sys();
-        let r = run(&s, &chain, Strategy::WithRoundTrip).unwrap();
+        let r = run(&s, &chain, Strategy::SerialRoundTrip).unwrap();
         let (_io, rt, _c) = r.breakdown_fractions();
         assert!(rt > 0.3, "round-trip share {rt}");
     }
@@ -642,7 +411,7 @@ mod tests {
         let chain = SelectChain::auto(2_000_000_000, &[0.5]);
         let s = sys();
         let cards = chain.cardinalities().unwrap();
-        let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
+        let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
         let fission =
             run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
         assert!(
@@ -654,17 +423,47 @@ mod tests {
     }
 
     #[test]
+    fn fission_segments_cover_the_input_exactly() {
+        // 2 000 000 003 elements do not split evenly into 32 segments:
+        // every byte and element must still be covered exactly once.
+        let chain = SelectChain::auto(2_000_000_003, &[0.5]);
+        let cards = chain.cardinalities().unwrap();
+        let sched = chain.schedule(&sys(), Strategy::Fission { segments: 32 }, &cards).unwrap();
+        let cmds = sched.streams.concat();
+        let seg = |c: &&Command| c.label.contains("[seg");
+        let h2d: u64 = cmds
+            .iter()
+            .filter(seg)
+            .filter_map(|c| match c.kind {
+                CommandKind::CopyH2D { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .sum();
+        let filtered: u64 = cmds
+            .iter()
+            .filter(seg)
+            .filter(|c| c.label.starts_with("filter"))
+            .filter_map(|c| match c.kind {
+                CommandKind::Kernel { elems, .. } => Some(elems),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(h2d, chain.bytes(chain.n));
+        assert_eq!(filtered, chain.n);
+    }
+
+    #[test]
     fn fig16_strategy_ordering() {
         // serial < fusion < fission < fusion+fission (in throughput).
         let chain = SelectChain::auto(1_000_000_000, &[0.5, 0.5]);
         let s = sys();
         let cards = chain.cardinalities().unwrap();
-        let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+        let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+        let fused = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
         let fission =
             run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
         let both =
-            run_with_cards(&s, &chain, Strategy::FusedFission { segments: 32 }, &cards).unwrap();
+            run_with_cards(&s, &chain, Strategy::FusionFission { segments: 32 }, &cards).unwrap();
         assert!(fused.total() < serial.total());
         assert!(
             fission.total() < fused.total(),

@@ -17,10 +17,10 @@
 
 use crate::catalog::{Catalog, ColType, TableSchema};
 use crate::lower::compile;
-use kfusion_core::exec::{execute, ExecConfig, Strategy};
+use kfusion_core::exec::{execute, Engine, ExecConfig, Strategy};
 use kfusion_ir::opt::OptLevel;
 use kfusion_prng::Rng;
-use kfusion_relalg::{engine, Column, Relation};
+use kfusion_relalg::{Column, Relation};
 use kfusion_vgpu::GpuSystem;
 use std::fmt;
 
@@ -70,24 +70,6 @@ pub struct FuzzReport {
     pub executions: usize,
     /// Confirmed divergences (empty on a clean run).
     pub failures: Vec<FuzzFailure>,
-}
-
-/// Restores the process-global engine selection on scope exit, so a failing
-/// differential never leaks the scalar engine into the rest of the process.
-struct EngineGuard {
-    was: bool,
-}
-
-impl EngineGuard {
-    fn new() -> Self {
-        EngineGuard { was: engine::batch_enabled() }
-    }
-}
-
-impl Drop for EngineGuard {
-    fn drop(&mut self) {
-        engine::set_batch_enabled(self.was);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,18 +285,14 @@ pub fn differential(
 ) -> Result<usize, String> {
     let compiled = compile(sql, catalog).map_err(|e| format!("compile failed: {e}"))?;
     let inputs = [table.clone()];
-    let _guard = EngineGuard::new();
     let mut oracle: Option<Relation> = None;
     let mut executions = 0usize;
-    for batch in [false, true] {
-        engine::set_batch_enabled(batch);
-        let engine_name = if batch { "batch" } else { "scalar" };
+    for engine in [Engine::Scalar, Engine::Batch] {
         for strategy in STRATEGIES {
             for level in LEVELS {
-                let mut cfg = ExecConfig::new(strategy, system);
-                cfg.level = level;
+                let cfg = ExecConfig { level, engine, ..ExecConfig::new(strategy, system) };
                 let out = execute(system, &compiled.plan, &inputs, &cfg).map_err(|e| {
-                    format!("{engine_name}/{strategy:?}/{level:?} failed to execute: {e}")
+                    format!("{engine:?}/{strategy:?}/{level:?} failed to execute: {e}")
                 })?;
                 executions += 1;
                 match &oracle {
@@ -322,7 +300,7 @@ pub fn differential(
                     Some(expect) => {
                         if !bit_identical(expect, &out.output) {
                             return Err(format!(
-                                "{engine_name}/{strategy:?}/{level:?} diverges from the \
+                                "{engine:?}/{strategy:?}/{level:?} diverges from the \
                                  scalar Serial oracle: oracle {} rows, got {} rows",
                                 expect.len(),
                                 out.output.len()

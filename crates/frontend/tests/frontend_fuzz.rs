@@ -1,10 +1,8 @@
 //! Differential fuzzing of the SQL front end against the scalar oracle.
 //!
-//! A single test drives the whole run because the engine selection it
-//! toggles (`kfusion_relalg::engine::set_batch_enabled`) is process-global:
-//! one test, one owner. The seed count scales up via `KFUSION_FUZZ_QUERIES`
-//! (the CI smoke job runs 500+); seeds are fixed so a red run reproduces
-//! locally by pasting the printed seed.
+//! The seed count scales up via `KFUSION_FUZZ_QUERIES` (the CI smoke job
+//! runs 500+); seeds are fixed so a red run reproduces locally by pasting
+//! the printed seed.
 
 use kfusion_frontend::fuzz::{fuzz, gen_case};
 use kfusion_vgpu::GpuSystem;
@@ -25,9 +23,6 @@ fn differential_fuzz_finds_no_mismatches() {
         }
         panic!("{} of {} fuzzed queries diverged from the oracle", report.failures.len(), n);
     }
-    // The engine toggle must be restored after the run.
-    assert!(kfusion_relalg::engine::batch_enabled());
-
     // Sanity-check the failure path end-to-end: corrupt a case's table so
     // row counts disagree with the compiled plan… not possible without an
     // engine bug, so instead check the replay contract directly — the

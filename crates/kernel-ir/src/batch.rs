@@ -28,7 +28,7 @@ use crate::ir::{BinOp, CmpOp, Instr, KernelBody, Reg, UnOp};
 use crate::value::{Ty, Value};
 use crate::verify::{self, VerifyError};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Rows per batch: small enough for register banks to stay cache-resident,
@@ -404,39 +404,6 @@ pub fn mask_lane(mask: &[u64], j: usize) -> bool {
     (mask[j >> 6] >> (j & 63)) & 1 == 1
 }
 
-/// When `true` (default), [`Scratch`] hands cached machines and buffers
-/// back out instead of constructing fresh ones. Disable to A/B the reuse
-/// path against cold construction (the equivalence suite runs both).
-static SCRATCH_REUSE: AtomicBool = AtomicBool::new(true);
-
-/// When `true`, every [`BatchMachine::run`] first fills all non-constant
-/// banks with sentinel garbage. Any batch-path result that depends on a
-/// stale or zero-initialized lane — instead of on lanes the current batch
-/// actually wrote — changes under poisoning, so the equivalence suite can
-/// assert reuse never leaks state between batches. Off by default (it
-/// costs a full bank sweep per batch).
-static SCRATCH_POISON: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable [`Scratch`] reuse of machines and index buffers.
-pub fn set_scratch_reuse(on: bool) {
-    SCRATCH_REUSE.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`Scratch`] reuse is enabled.
-pub fn scratch_reuse() -> bool {
-    SCRATCH_REUSE.load(Ordering::Relaxed)
-}
-
-/// Enable or disable per-batch bank poisoning.
-pub fn set_scratch_poison(on: bool) {
-    SCRATCH_POISON.store(on, Ordering::Relaxed);
-}
-
-/// Whether per-batch bank poisoning is enabled.
-pub fn scratch_poison() -> bool {
-    SCRATCH_POISON.load(Ordering::Relaxed)
-}
-
 /// Sentinel lane values for poisoning: recognizable, and vicious — the f64
 /// pattern is a NaN, so any arithmetic that touches a stale lane infects
 /// its result.
@@ -471,40 +438,34 @@ impl Scratch {
     }
 
     /// Check out a machine for `k`: a cached one compiled from the same
-    /// `CompiledKernel::compile` call when reuse is on and one is pooled,
-    /// otherwise a fresh construction.
+    /// `CompiledKernel::compile` call when one is pooled, otherwise a fresh
+    /// construction.
     pub fn machine(&mut self, k: &CompiledKernel) -> BatchMachine {
-        if scratch_reuse() {
-            if let Some(pos) = self.machines.iter().position(|(id, _)| *id == k.id) {
-                return self.machines.swap_remove(pos).1;
-            }
+        match self.machines.iter().position(|(id, _)| *id == k.id) {
+            Some(pos) => self.machines.swap_remove(pos).1,
+            None => BatchMachine::new(k),
         }
-        BatchMachine::new(k)
     }
 
     /// Return a machine checked out for `k` to the pool. Dropped (not
-    /// pooled) when reuse is off or the pool is full.
+    /// pooled) when the pool is full.
     pub fn put_machine(&mut self, k: &CompiledKernel, m: BatchMachine) {
-        if scratch_reuse() && self.machines.len() < SCRATCH_CAP {
+        if self.machines.len() < SCRATCH_CAP {
             self.machines.push((k.id, m));
         }
     }
 
     /// Check out an empty `u32` index buffer (capacity retained from prior
-    /// use when reuse is on).
+    /// use).
     pub fn idx_buf(&mut self) -> Vec<u32> {
-        if scratch_reuse() {
-            if let Some(mut v) = self.idx_bufs.pop() {
-                v.clear();
-                return v;
-            }
-        }
-        Vec::new()
+        let mut v = self.idx_bufs.pop().unwrap_or_default();
+        v.clear();
+        v
     }
 
     /// Return an index buffer to the pool.
     pub fn put_idx_buf(&mut self, v: Vec<u32>) {
-        if scratch_reuse() && self.idx_bufs.len() < SCRATCH_CAP {
+        if self.idx_bufs.len() < SCRATCH_CAP {
             self.idx_bufs.push(v);
         }
     }
@@ -645,9 +606,12 @@ impl BatchMachine {
         n: usize,
     ) {
         debug_assert!(n <= BATCH_ROWS);
-        if scratch_poison() {
-            self.poison(k);
-        }
+        // Debug builds (every `cargo test` run) poison each batch's banks,
+        // so any result that reads a stale or unwritten lane diverges from
+        // the scalar engine in the equivalence suites; release builds skip
+        // the sweep.
+        #[cfg(debug_assertions)]
+        self.poison(k);
         if let Some(f) = &k.fused {
             self.run_fused(f, k, cols, base, n);
             return;

@@ -6,33 +6,22 @@
 //! default), or the per-tuple [`kfusion_ir::interp::Machine`]. Both produce
 //! bit-identical results — the equivalence tests in
 //! `tests/engine_equivalence.rs` and the batch property tests enforce it —
-//! so the toggle exists for benchmarking (`throughput_host` measures the
-//! gap) and as a diagnostic escape hatch. Bodies that fail batch
-//! compilation fall back to the scalar path regardless of this setting.
+//! so the choice exists as the oracle for those tests, for benchmarking
+//! (`throughput_host` measures the gap), and as a diagnostic escape hatch.
+//! Callers pass it explicitly to the operators that dispatch on it
+//! (SELECT and ARITH); the executor carries it in `ExecConfig`. Bodies
+//! that fail batch compilation fall back to the scalar path regardless.
 //!
 //! Simulated GPU timings are computed from kernel cost profiles, not from
 //! host wall-clock, so they are unchanged by the engine choice by
 //! construction.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static BATCH_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the vectorized batch engine process-wide.
-pub fn set_batch_enabled(on: bool) {
-    BATCH_ENABLED.store(on, Ordering::Relaxed);
+/// Which host engine evaluates IR bodies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// Compiled kernels over columnar batches, morsel-parallel.
+    #[default]
+    Batch,
+    /// The per-tuple interpreter — the reference semantics.
+    Scalar,
 }
-
-/// Whether operators should try the batch engine (true by default).
-pub fn batch_enabled() -> bool {
-    BATCH_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable scratch-arena reuse of [`BatchMachine`]s and index
-/// buffers across morsels (on by default). Re-exported from
-/// [`kfusion_ir::batch`] so engine toggles live in one place; both engines
-/// produce bit-identical results either way — the scratch-poisoning
-/// equivalence suite enforces it.
-///
-/// [`BatchMachine`]: kfusion_ir::batch::BatchMachine
-pub use kfusion_ir::batch::{scratch_poison, scratch_reuse, set_scratch_poison, set_scratch_reuse};

@@ -26,12 +26,13 @@
 //! # Example
 //!
 //! ```
+//! use kfusion_relalg::engine::Engine;
 //! use kfusion_relalg::{gen, ops, predicates};
 //!
 //! // 100k random 32-bit keys; keep the half below the midpoint.
 //! let input = gen::random_keys(100_000, 42);
 //! let pred = predicates::key_lt(gen::threshold_for_selectivity(0.5));
-//! let out = ops::select(&input, &pred).unwrap();
+//! let out = ops::select(&input, &pred, Engine::Batch).unwrap();
 //! assert!((out.len() as f64 / input.len() as f64 - 0.5).abs() < 0.01);
 //! ```
 

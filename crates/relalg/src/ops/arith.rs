@@ -8,7 +8,7 @@
 //! class (i) of §III-C).
 
 use crate::data::{Column, RelError, Relation};
-use crate::engine;
+use crate::engine::Engine;
 use kfusion_ir::batch::{mask_lane, BankView, CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::infer_types;
@@ -37,12 +37,16 @@ fn empty_cols(tys: &[Ty], cap: usize) -> Vec<Column> {
 /// column per body output (the sources are discarded, as PROJECT does in
 /// the paper's ARITH→PROJECT idiom).
 ///
-/// Runs on the vectorized batch engine when the body compiles against the
-/// input's column types ([`crate::engine`]); otherwise falls back to the
-/// per-tuple interpreter, preserving its error behavior.
-pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
+/// Under [`Engine::Batch`], runs on the vectorized batch engine when the
+/// body compiles against the input's column types; otherwise falls back to
+/// the per-tuple interpreter, preserving its error behavior.
+pub fn arith_map(
+    input: &Relation,
+    body: &KernelBody,
+    engine: Engine,
+) -> Result<Relation, RelError> {
     let mut out = Relation::default();
-    arith_map_into(input, body, &mut out)?;
+    arith_map_into(input, body, &mut out, engine)?;
     Ok(out)
 }
 
@@ -55,8 +59,9 @@ pub fn arith_map_into(
     input: &Relation,
     body: &KernelBody,
     out: &mut Relation,
+    engine: Engine,
 ) -> Result<(), RelError> {
-    let (tys, parts) = arith_parts(input, body)?;
+    let (tys, parts) = arith_parts(input, body, engine)?;
     reset_cols(out, &tys);
     assemble_parallel(out, &input.key, &[], &parts);
     Ok(())
@@ -114,16 +119,18 @@ fn assemble_parallel(
     });
 }
 
-/// Per-chunk output columns of `body` over `input`, on whichever engine
-/// applies — the compute stage both `_into` assemblers share.
+/// Per-chunk output columns of `body` over `input`, on `engine` (batch
+/// falls back to scalar for bodies it cannot compile) — the compute stage
+/// both `_into` assemblers share.
 fn arith_parts(
     input: &Relation,
     body: &KernelBody,
+    engine: Engine,
 ) -> Result<(Vec<Ty>, Vec<Vec<Column>>), RelError> {
     // ARITH preserves cardinality: rows out == rows in, counted up front.
     kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", input.len() as u64);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", input.len() as u64);
-    if engine::batch_enabled() && !input.is_empty() {
+    if engine == Engine::Batch && !input.is_empty() {
         let compiled = CompiledKernel::compile(body, &input.ir_slot_types())
             .ok()
             .filter(|k| k.check_binding(&input.ir_cols()).is_ok());
@@ -227,9 +234,13 @@ fn arith_parts_batch(input: &Relation, k: &CompiledKernel) -> (Vec<Ty>, Vec<Vec<
 
 /// Like [`arith_map`] but *appends* the computed columns to the existing
 /// payload instead of replacing it.
-pub fn arith_extend(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
+pub fn arith_extend(
+    input: &Relation,
+    body: &KernelBody,
+    engine: Engine,
+) -> Result<Relation, RelError> {
     let mut out = Relation::default();
-    arith_extend_into(input, body, &mut out)?;
+    arith_extend_into(input, body, &mut out, engine)?;
     Ok(out)
 }
 
@@ -241,8 +252,9 @@ pub fn arith_extend_into(
     input: &Relation,
     body: &KernelBody,
     out: &mut Relation,
+    engine: Engine,
 ) -> Result<(), RelError> {
-    let (tys, parts) = arith_parts(input, body)?;
+    let (tys, parts) = arith_parts(input, body, engine)?;
     let mut all_tys: Vec<Ty> = input
         .cols
         .iter()
@@ -262,8 +274,12 @@ pub fn arith_extend_into(
 /// never copied at all. The plan executor routes single-consumer owned
 /// intermediates here — on the TPC-H plans that removes the widest copies
 /// of the whole query.
-pub fn arith_extend_owned(mut input: Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let (tys, parts) = arith_parts(&input, body)?;
+pub fn arith_extend_owned(
+    mut input: Relation,
+    body: &KernelBody,
+    engine: Engine,
+) -> Result<Relation, RelError> {
+    let (tys, parts) = arith_parts(&input, body, engine)?;
     let n = input.len();
     let mut computed = empty_cols(&tys, 0);
     if n < crate::data::PAR_COPY_MIN_ROWS {
@@ -319,7 +335,7 @@ mod tests {
             vec![Column::F64(vec![100.0, 50.0]), Column::F64(vec![0.1, 0.5])],
         )
         .unwrap();
-        let out = arith_map(&r, &predicates::discounted_price(0, 1)).unwrap();
+        let out = arith_map(&r, &predicates::discounted_price(0, 1), Engine::Batch).unwrap();
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.cols[0].as_f64().unwrap(), &[90.0, 25.0]);
         assert_eq!(out.key, vec![1, 2]);
@@ -331,7 +347,7 @@ mod tests {
         let mut b = BodyBuilder::new(2);
         b.emit_output(Expr::input(1).add(Expr::lit(1i64)));
         b.emit_output(Expr::input(1).mul(Expr::lit(2i64)));
-        let out = arith_map(&r, &b.build()).unwrap();
+        let out = arith_map(&r, &b.build(), Engine::Batch).unwrap();
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[11, 21, 31]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[20, 40, 60]);
@@ -342,7 +358,7 @@ mod tests {
         let r = Relation::new(vec![1], vec![Column::I64(vec![5])]).unwrap();
         let mut b = BodyBuilder::new(2);
         b.emit_output(Expr::input(1).neg());
-        let out = arith_extend(&r, &b.build()).unwrap();
+        let out = arith_extend(&r, &b.build(), Engine::Batch).unwrap();
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[5]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[-5]);
@@ -351,7 +367,7 @@ mod tests {
     #[test]
     fn empty_input_keeps_schema() {
         let r = Relation::new(vec![], vec![Column::F64(vec![])]).unwrap();
-        let out = arith_map(&r, &predicates::discounted_price(0, 0)).unwrap();
+        let out = arith_map(&r, &predicates::discounted_price(0, 0), Engine::Batch).unwrap();
         assert_eq!(out.n_cols(), 1);
         assert!(out.is_empty());
         assert!(out.cols[0].as_f64().is_some(), "type inferred even when empty");
@@ -362,7 +378,7 @@ mod tests {
         let r = Relation::from_keys(vec![1, 5, 9]);
         let mut b = BodyBuilder::new(1);
         b.emit_output(Expr::input(0).gt(Expr::lit(4i64)));
-        let out = arith_map(&r, &b.build()).unwrap();
+        let out = arith_map(&r, &b.build(), Engine::Batch).unwrap();
         assert_eq!(out.cols[0].as_i64().unwrap(), &[0, 1, 1]);
     }
 
@@ -378,10 +394,8 @@ mod tests {
         b.emit_output(Expr::input(1).mul(Expr::input(1)).add(Expr::input(0)));
         b.emit_output(Expr::input(1).gt(Expr::lit(100i64)));
         let body = b.build();
-        engine::set_batch_enabled(false);
-        let scalar = arith_map(&r, &body).unwrap();
-        engine::set_batch_enabled(true);
-        let batch = arith_map(&r, &body).unwrap();
+        let scalar = arith_map(&r, &body, Engine::Scalar).unwrap();
+        let batch = arith_map(&r, &body, Engine::Batch).unwrap();
         assert_eq!(scalar.key, batch.key);
         for (a, c) in scalar.cols.iter().zip(&batch.cols) {
             match (a, c) {

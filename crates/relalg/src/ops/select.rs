@@ -19,17 +19,21 @@
 use crate::data::{
     col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
-use crate::engine;
+use crate::engine::Engine;
 use kfusion_ir::batch::{CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::{KernelBody, Ty, Value};
 use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
 
-/// Compile `predicate` for batch execution over `input`'s columns, if the
-/// engine is on and the body both resolves to concrete types and yields a
-/// boolean in output slot 0.
-fn compile_predicate(input: &Relation, predicate: &KernelBody) -> Option<CompiledKernel> {
-    if !engine::batch_enabled() || input.is_empty() {
+/// Compile `predicate` for batch execution over `input`'s columns, if
+/// `engine` is [`Engine::Batch`] and the body both resolves to concrete
+/// types and yields a boolean in output slot 0.
+fn compile_predicate(
+    input: &Relation,
+    predicate: &KernelBody,
+    engine: Engine,
+) -> Option<CompiledKernel> {
+    if engine == Engine::Scalar || input.is_empty() {
         return None;
     }
     let compiled = (|| {
@@ -122,10 +126,15 @@ fn scatter_col<T: Copy>(src: &[T], start: usize, words: &[u64], dst: &mut [T]) {
 ///
 /// The predicate is an IR body with the library calling convention: input
 /// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
-/// must be a boolean.
-pub fn select(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelError> {
+/// must be a boolean. `engine` picks the host evaluator; both produce the
+/// same relation.
+pub fn select(
+    input: &Relation,
+    predicate: &KernelBody,
+    engine: Engine,
+) -> Result<Relation, RelError> {
     let mut out = input.empty_like();
-    select_into(input, predicate, &mut out)?;
+    select_into(input, predicate, &mut out, engine)?;
     Ok(out)
 }
 
@@ -140,10 +149,11 @@ pub fn select_into(
     input: &Relation,
     predicate: &KernelBody,
     out: &mut Relation,
+    engine: Engine,
 ) -> Result<(), RelError> {
     out.clear();
     kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
-    if let Some(k) = compile_predicate(input, predicate) {
+    if let Some(k) = compile_predicate(input, predicate, engine) {
         // Phase 1 — partition + filter: each CTA evaluates the predicate
         // batch-at-a-time and keeps only the selection bitmask plus its
         // popcount (selection is bitmap-only — unselected lanes are never
@@ -230,6 +240,7 @@ pub fn select_into(
 /// unfused back-to-back configuration the paper measures against. Returns
 /// every intermediate cardinality alongside the final relation, because the
 /// executor prices each pass's kernels with the real intermediate sizes.
+/// Runs on the batch engine.
 pub fn select_chain_unfused(
     input: &Relation,
     predicates: &[KernelBody],
@@ -241,7 +252,7 @@ pub fn select_chain_unfused(
     let mut next = input.empty_like();
     let mut cards = Vec::with_capacity(predicates.len());
     for p in predicates {
-        select_into(&cur, p, &mut next)?;
+        select_into(&cur, p, &mut next, Engine::Batch)?;
         std::mem::swap(&mut cur, &mut next);
         cards.push(cur.len());
     }
@@ -249,9 +260,9 @@ pub fn select_chain_unfused(
 }
 
 /// Count (without materializing) how many tuples satisfy `predicate` — used
-/// by harnesses that only need cardinalities.
+/// by harnesses that only need cardinalities. Runs on the batch engine.
 pub fn count_selected(input: &Relation, predicate: &KernelBody) -> Result<usize, RelError> {
-    if let Some(k) = compile_predicate(input, predicate) {
+    if let Some(k) = compile_predicate(input, predicate, Engine::Batch) {
         let parts: Vec<usize> = par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
             let mut n = 0usize;
             for_each_selected(&k, input, range, |_| n += 1);
@@ -297,7 +308,7 @@ mod tests {
         )
         .unwrap();
         let pred = predicates::key_eq(2);
-        let out = select(&x, &pred).unwrap();
+        let out = select(&x, &pred, Engine::Batch).unwrap();
         assert_eq!(out.key, vec![2]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[0]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[2]);
@@ -306,7 +317,7 @@ mod tests {
     #[test]
     fn select_keeps_input_order() {
         let r = Relation::from_keys(vec![5, 1, 9, 3, 7]);
-        let out = select(&r, &predicates::key_lt(8)).unwrap();
+        let out = select(&r, &predicates::key_lt(8), Engine::Batch).unwrap();
         assert_eq!(out.key, vec![5, 1, 3, 7]);
     }
 
@@ -315,29 +326,29 @@ mod tests {
         let r = Relation::new(vec![1, 2, 3], vec![Column::F64(vec![0.5, 1.5, 2.5])]).unwrap();
         let mut b = BodyBuilder::new(2);
         b.emit_output(Expr::input(1).gt(Expr::lit(1.0f64)));
-        let out = select(&r, &b.build()).unwrap();
+        let out = select(&r, &b.build(), Engine::Batch).unwrap();
         assert_eq!(out.key, vec![2, 3]);
     }
 
     #[test]
     fn empty_input_empty_output() {
         let r = Relation::from_keys(vec![]);
-        let out = select(&r, &predicates::key_lt(5)).unwrap();
+        let out = select(&r, &predicates::key_lt(5), Engine::Batch).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn select_all_and_none() {
         let r = Relation::from_keys((0..1000).collect());
-        assert_eq!(select(&r, &predicates::key_lt(10_000)).unwrap().len(), 1000);
-        assert_eq!(select(&r, &predicates::key_lt(0)).unwrap().len(), 0);
+        assert_eq!(select(&r, &predicates::key_lt(10_000), Engine::Batch).unwrap().len(), 1000);
+        assert_eq!(select(&r, &predicates::key_lt(0), Engine::Batch).unwrap().len(), 0);
     }
 
     #[test]
     fn large_parallel_select_matches_sequential_count() {
         let n = 300_000u64;
         let r = Relation::from_keys((0..n).rev().collect());
-        let out = select(&r, &predicates::key_lt(12345)).unwrap();
+        let out = select(&r, &predicates::key_lt(12345), Engine::Batch).unwrap();
         assert_eq!(out.len(), 12345);
         // Partition order preserved: descending keys filtered keep order.
         assert_eq!(out.key[0], 12344);
@@ -357,7 +368,7 @@ mod tests {
     fn count_matches_select_len() {
         let r = Relation::from_keys((0..10_000).map(|k| k * 7 % 1000).collect());
         let p = predicates::key_lt(500);
-        assert_eq!(count_selected(&r, &p).unwrap(), select(&r, &p).unwrap().len());
+        assert_eq!(count_selected(&r, &p).unwrap(), select(&r, &p, Engine::Batch).unwrap().len());
     }
 
     #[test]
@@ -366,7 +377,7 @@ mod tests {
         // Predicate output is i64, not bool.
         let mut b = BodyBuilder::new(1);
         b.emit_output(Expr::input(0).add(Expr::lit(1i64)));
-        assert!(matches!(select(&r, &b.build()), Err(RelError::Eval(_))));
+        assert!(matches!(select(&r, &b.build(), Engine::Batch), Err(RelError::Eval(_))));
     }
 
     #[test]
@@ -381,10 +392,8 @@ mod tests {
                 .and(Expr::input(1).gt(Expr::lit(12.5f64)).or(Expr::input(1).lt(Expr::lit(3.0)))),
         );
         let pred = b.build();
-        engine::set_batch_enabled(false);
-        let scalar = select(&r, &pred);
-        engine::set_batch_enabled(true);
-        let batch = select(&r, &pred);
+        let scalar = select(&r, &pred, Engine::Scalar);
+        let batch = select(&r, &pred, Engine::Batch);
         assert_eq!(scalar.unwrap(), batch.unwrap());
     }
 }

@@ -8,8 +8,8 @@
 //! happens once per worker per kernel, not once per morsel.
 //!
 //! Arenas die with their worker thread (the executors use scoped threads),
-//! so there is no cross-query state to invalidate; the reuse/poison toggles
-//! in [`crate::engine`] govern behavior inside a run.
+//! so there is no cross-query state to invalidate. Debug builds poison
+//! every reused bank before each batch (see [`kfusion_ir::batch`]).
 
 use kfusion_ir::batch::Scratch;
 use std::cell::RefCell;

@@ -6,6 +6,7 @@
 //! index reproduces independently.
 
 use kfusion_prng::Rng;
+use kfusion_relalg::engine::Engine;
 use kfusion_relalg::ops;
 use kfusion_relalg::predicates;
 use kfusion_relalg::{Column, Relation};
@@ -45,7 +46,7 @@ fn select_matches_filter() {
         let mut rng = rng_for(0xA1, case);
         let r = rel_keys(&mut rng, 1000, 200);
         let t = rng.gen_range(0u64..1000);
-        let out = ops::select(&r, &predicates::key_lt(t)).unwrap();
+        let out = ops::select(&r, &predicates::key_lt(t), Engine::Batch).unwrap();
         let expect: Vec<u64> = r.key.iter().copied().filter(|&k| k < t).collect();
         assert_eq!(out.key, expect, "case {case}");
     }
@@ -63,7 +64,7 @@ fn select_chain_shrinks() {
             ops::select_chain_unfused(&r, &[predicates::key_lt(t1), predicates::key_lt(t2)])
                 .unwrap();
         assert!(cards[0] >= cards[1], "case {case}");
-        let direct = ops::select(&r, &predicates::key_lt(t1.min(t2))).unwrap();
+        let direct = ops::select(&r, &predicates::key_lt(t1.min(t2)), Engine::Batch).unwrap();
         assert_eq!(out, direct, "case {case}");
     }
 }

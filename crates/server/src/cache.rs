@@ -28,8 +28,9 @@ use kfusion_model::sync::atomic::{AtomicU64, Ordering};
 use kfusion_model::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
 
-/// Serial strategies prepare singleton plans, fused strategies run the
-/// fusion pass; a cached entry is only valid within its class.
+/// Unfused strategies (serial, round trip, fission alone) prepare singleton
+/// plans, fused strategies run the fusion pass; a cached entry is only
+/// valid within its class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PlanClass {
     Singleton,
@@ -38,7 +39,9 @@ enum PlanClass {
 
 fn class_of(strategy: Strategy) -> PlanClass {
     match strategy {
-        Strategy::Serial | Strategy::SerialRoundTrip => PlanClass::Singleton,
+        Strategy::Serial | Strategy::SerialRoundTrip | Strategy::Fission { .. } => {
+            PlanClass::Singleton
+        }
         Strategy::Fusion | Strategy::FusionFission { .. } => PlanClass::Fused,
     }
 }
@@ -217,6 +220,20 @@ mod tests {
         assert_eq!(fused.groups.len(), 1);
         assert_eq!(serial.groups.len(), 2, "singleton plan per operator");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn fission_alone_shares_the_serial_entry() {
+        let s = GpuSystem::c2070();
+        let cache = PlanCache::new();
+        let g = query(10);
+        let serial = cache.prepare(&g, &ExecConfig::new(Strategy::Serial, &s)).unwrap();
+        let fission =
+            cache.prepare(&g, &ExecConfig::new(Strategy::Fission { segments: 8 }, &s)).unwrap();
+        assert!(Arc::ptr_eq(&serial, &fission), "fission reuses the singleton plan");
+        assert_eq!(cache.len(), 1);
+        cache.prepare(&g, &ExecConfig::new(Strategy::Fusion, &s)).unwrap();
+        assert_eq!(cache.len(), 2, "fusion prepares its own entry");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! cargo run --release --example extensions
 //! ```
 
-use kfusion::core::exec::ExecConfig;
-use kfusion::core::exec::{execute_auto_serial, Strategy};
+use kfusion::core::exec::{execute_auto_serial, ExecConfig, Strategy};
 use kfusion::core::hetero;
 use kfusion::core::microbench::SelectChain;
 use kfusion::core::multiquery::{batching_speedup, execute_multi, merge_plans};

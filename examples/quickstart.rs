@@ -7,10 +7,13 @@
 //! This walks the paper's §III-B experiment end to end: build a chain of
 //! two 50% SELECTs over 16M random 32-bit elements, run it on the simulated
 //! Tesla C2070 under the three methods (with round trip / without round
-//! trip / fused), verify the fused kernel computes the identical relation,
-//! and print the throughput and time breakdown of each method.
+//! trip / fused — the executor's `SerialRoundTrip`, `Serial` and `Fusion`
+//! strategies, the same ones TPC-H plans run under), verify the fused
+//! kernel computes the identical relation, and print the throughput and
+//! time breakdown of each method.
 
-use kfusion::core::microbench::{run_with_cards, verify_chain_equivalence, SelectChain, Strategy};
+use kfusion::core::exec::Strategy;
+use kfusion::core::microbench::{run_with_cards, verify_chain_equivalence, SelectChain};
 use kfusion::vgpu::GpuSystem;
 
 fn main() {
@@ -29,9 +32,9 @@ fn main() {
     );
 
     for (name, strategy) in [
-        ("with round trip", Strategy::WithRoundTrip),
-        ("without round trip", Strategy::WithoutRoundTrip),
-        ("fused", Strategy::Fused),
+        ("with round trip", Strategy::SerialRoundTrip),
+        ("without round trip", Strategy::Serial),
+        ("fused", Strategy::Fusion),
     ] {
         let report = run_with_cards(&system, &chain, strategy, &cards).expect("simulation");
         println!("== {name} ==");

@@ -10,8 +10,11 @@
 //! execution must batch with blocking transfers. Kernel fission cuts the
 //! input into segments and overlaps H2D / compute / D2H on the device's two
 //! DMA engines; combined with fusion it reaches the paper's best strategy.
+//! Segments are exact partitions of the input (`vgpu::segment::partition`),
+//! and each segment's result is reassembled by a CPU gather on the host.
 
-use kfusion::core::microbench::{run_with_cards, SelectChain, Strategy};
+use kfusion::core::exec::Strategy;
+use kfusion::core::microbench::{run_with_cards, SelectChain};
 use kfusion::vgpu::{Engine, GpuSystem};
 
 fn main() {
@@ -28,10 +31,10 @@ fn main() {
     let segments = 32;
 
     let strategies = [
-        ("serial (batched, with round trip)", Strategy::WithRoundTrip),
-        ("fusion only", Strategy::Fused),
+        ("serial (batched, with round trip)", Strategy::SerialRoundTrip),
+        ("fusion only", Strategy::Fusion),
         ("fission only", Strategy::Fission { segments }),
-        ("fusion + fission", Strategy::FusedFission { segments }),
+        ("fusion + fission", Strategy::FusionFission { segments }),
     ];
 
     let mut rows = Vec::new();

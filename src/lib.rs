@@ -25,15 +25,16 @@
 //! ## Quick start
 //!
 //! ```
-//! use kfusion::core::microbench::{run, SelectChain, Strategy};
+//! use kfusion::core::exec::Strategy;
+//! use kfusion::core::microbench::{run, SelectChain};
 //! use kfusion::vgpu::GpuSystem;
 //!
 //! // The paper's headline experiment: two back-to-back 50% SELECTs.
 //! let system = GpuSystem::c2070();
 //! let chain = SelectChain::auto(1 << 20, &[0.5, 0.5]);
 //!
-//! let with_rt = run(&system, &chain, Strategy::WithRoundTrip).unwrap();
-//! let fused = run(&system, &chain, Strategy::Fused).unwrap();
+//! let with_rt = run(&system, &chain, Strategy::SerialRoundTrip).unwrap();
+//! let fused = run(&system, &chain, Strategy::Fusion).unwrap();
 //! assert!(fused.throughput_gbps() > with_rt.throughput_gbps());
 //! ```
 //!

@@ -13,8 +13,8 @@
 //! * Fig. 16: fusion+fission +41.4% vs serial / +31.3% vs fusion / +10.1% vs fission.
 //! * Fig. 18: Q1 total +26.5% (fusion 1.25×, SORT ≈71%); Q21 total +13.2%.
 
-use kfusion::core::exec::Strategy as QStrategy;
-use kfusion::core::microbench::{run_compute_only, run_cpu, run_with_cards, SelectChain, Strategy};
+use kfusion::core::exec::Strategy;
+use kfusion::core::microbench::{run_compute_only, run_cpu, run_with_cards, SelectChain};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::{q1, q21};
 use kfusion::vgpu::{CommandClass, DeviceSpec, GpuSystem};
@@ -47,9 +47,9 @@ fn fig08_fusion_gains() {
     let s = sys();
     let chain = SelectChain::auto(1 << 24, &[0.5, 0.5]);
     let cards = chain.cardinalities().unwrap();
-    let with_rt = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-    let without = run_with_cards(&s, &chain, Strategy::WithoutRoundTrip, &cards).unwrap();
-    let fused = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+    let with_rt = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+    let without = run_with_cards(&s, &chain, Strategy::Serial, &cards).unwrap();
+    let fused = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
     assert_band(
         "fused vs with-round-trip (paper 1.499x)",
         fused.throughput_gbps() / with_rt.throughput_gbps(),
@@ -76,7 +76,7 @@ fn fig08_fusion_gains() {
 fn fig09_round_trip_share() {
     let s = sys();
     let chain = SelectChain::auto(1 << 24, &[0.5, 0.5]);
-    let r = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &chain.cardinalities().unwrap())
+    let r = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &chain.cardinalities().unwrap())
         .unwrap();
     let share = r.class_time(CommandClass::RoundTrip) / r.total();
     assert_band("round-trip share (paper 0.54)", share, 0.25, 0.65);
@@ -90,7 +90,7 @@ fn fig10_kernel_splits() {
     let fused = run_compute_only(&s, &chain, true).unwrap();
     assert_band(
         "filter fusion speedup (paper 1.57x)",
-        unfused.label_time("filter") / fused.label_time("fused_filter"),
+        unfused.label_time("filter") / fused.label_time("fused_compute"),
         1.2,
         2.4,
     );
@@ -122,7 +122,7 @@ fn fig14_fission_gain() {
     let s = sys();
     let chain = SelectChain::auto(2_000_000_000, &[0.5]);
     let cards = chain.cardinalities().unwrap();
-    let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
+    let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
     let fission = run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
     assert_band(
         "fission vs serial (paper 1.369x)",
@@ -137,10 +137,11 @@ fn fig16_combined_ordering_and_gains() {
     let s = sys();
     let chain = SelectChain::auto(2_000_000_000, &[0.5, 0.5]);
     let cards = chain.cardinalities().unwrap();
-    let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-    let fusion = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+    let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+    let fusion = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
     let fission = run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
-    let both = run_with_cards(&s, &chain, Strategy::FusedFission { segments: 32 }, &cards).unwrap();
+    let both =
+        run_with_cards(&s, &chain, Strategy::FusionFission { segments: 32 }, &cards).unwrap();
     // Paper's ordering: fusion+fission > fission > fusion > serial.
     assert!(both.throughput_gbps() > fission.throughput_gbps());
     assert!(fission.throughput_gbps() > fusion.throughput_gbps());
@@ -157,9 +158,9 @@ fn fig16_combined_ordering_and_gains() {
 fn fig18a_q1_shape() {
     let db = generate(TpchConfig::scale(0.01));
     let s = sys();
-    let base = q1::run_q1(&s, &db, QStrategy::Serial).unwrap();
-    let fused = q1::run_q1(&s, &db, QStrategy::Fusion).unwrap();
-    let both = q1::run_q1(&s, &db, QStrategy::FusionFission { segments: 8 }).unwrap();
+    let base = q1::run_q1(&s, &db, Strategy::Serial).unwrap();
+    let fused = q1::run_q1(&s, &db, Strategy::Fusion).unwrap();
+    let both = q1::run_q1(&s, &db, Strategy::FusionFission { segments: 8 }).unwrap();
     assert_band(
         "Q1 fusion speedup (paper 1.25x)",
         base.report.total() / fused.report.total(),
@@ -184,13 +185,13 @@ fn fig18a_q1_shape() {
 fn fig18b_q21_shape() {
     let db = generate(TpchConfig::scale(0.01));
     let s = sys();
-    let base = q21::run_q21(&s, &db, 20, QStrategy::Serial).unwrap();
-    let both = q21::run_q21(&s, &db, 20, QStrategy::FusionFission { segments: 8 }).unwrap();
+    let base = q21::run_q21(&s, &db, 20, Strategy::Serial).unwrap();
+    let both = q21::run_q21(&s, &db, 20, Strategy::FusionFission { segments: 8 }).unwrap();
     let improvement = 100.0 * (1.0 - both.report.total() / base.report.total());
     assert_band("Q21 total improvement (paper 13.2%)", improvement, 3.0, 22.0);
     // And Q1's gain exceeds Q21's, the paper's cross-query comparison.
-    let q1_base = q1::run_q1(&s, &db, QStrategy::Serial).unwrap();
-    let q1_both = q1::run_q1(&s, &db, QStrategy::FusionFission { segments: 8 }).unwrap();
+    let q1_base = q1::run_q1(&s, &db, Strategy::Serial).unwrap();
+    let q1_both = q1::run_q1(&s, &db, Strategy::FusionFission { segments: 8 }).unwrap();
     let q1_improvement = 100.0 * (1.0 - q1_both.report.total() / q1_base.report.total());
     assert!(
         q1_improvement > improvement,

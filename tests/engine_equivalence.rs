@@ -11,9 +11,19 @@
 //! `kfusion_rows_*` trace counters must match too — operators count rows
 //! above the engine dispatch, so a divergence means an engine dropped or
 //! duplicated work even if the final answer happens to agree.
+//!
+//! Scratch poisoning rides along: test builds compile with debug
+//! assertions, under which every batch first overwrites its reused scratch
+//! banks (and the mask beyond the tail) with sentinel bit patterns —
+//! quiet-NaN payloads in f64 lanes, alternating bits in masks. The batch
+//! operators' validity-bitmap-only contract says no lane beyond the live
+//! count may influence an answer, so any operator that reads a stale or
+//! unselected lane produces a bitwise-visible diff against the scalar
+//! engine here.
 
-use kfusion::core::exec::{ExecResult, Strategy};
-use kfusion::relalg::{engine, Column, Relation};
+use kfusion::core::exec::{execute, Engine, ExecConfig, ExecResult, Strategy};
+use kfusion::core::PlanGraph;
+use kfusion::relalg::{Column, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig, TpchDb};
 use kfusion::tpch::{q1, q21, q6};
 use kfusion::vgpu::GpuSystem;
@@ -48,20 +58,19 @@ fn row_counters(trace: &kfusion::trace::Trace) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Run `query` on both engines under `strategy` and demand identical
+/// Run `plan` on both engines under `strategy` and demand identical
 /// answers, identical simulated timelines, and identical row counters.
-fn check(what: &str, strategy: Strategy, query: impl Fn(Strategy) -> ExecResult) {
-    let traced = |q: &dyn Fn(Strategy) -> ExecResult| {
+fn check(what: &str, sys: &GpuSystem, plan: &PlanGraph, inputs: &[Relation], strategy: Strategy) {
+    let traced = |engine: Engine| {
+        let cfg = ExecConfig { engine, ..ExecConfig::new(strategy, sys) };
         kfusion::trace::reset();
         kfusion::trace::set_enabled(true);
-        let result = q(strategy);
+        let result: ExecResult = execute(sys, plan, inputs, &cfg).unwrap();
         kfusion::trace::set_enabled(false);
         (result, kfusion::trace::take())
     };
-    engine::set_batch_enabled(false);
-    let (scalar, scalar_trace) = traced(&query);
-    engine::set_batch_enabled(true);
-    let (batch, batch_trace) = traced(&query);
+    let (scalar, scalar_trace) = traced(Engine::Scalar);
+    let (batch, batch_trace) = traced(Engine::Batch);
     assert_bit_identical(&scalar.output, &batch.output, what);
     assert_eq!(
         scalar.report.total(),
@@ -73,55 +82,19 @@ fn check(what: &str, strategy: Strategy, query: impl Fn(Strategy) -> ExecResult)
     assert_eq!(rows, row_counters(&batch_trace), "{what}: row counters diverged between engines");
 }
 
-fn strategies() -> [Strategy; 3] {
-    [Strategy::Serial, Strategy::Fusion, Strategy::FusionFission { segments: 8 }]
-}
-
-// The engine and scratch toggles are process-global and `cargo test` runs
-// test functions on concurrent threads, so every test here serializes on
-// one lock.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
+// The trace recorder is process-global, so this binary keeps to one test.
 #[test]
 fn batch_engine_never_changes_tpch_answers() {
-    let _g = serial();
     let db: TpchDb = generate(TpchConfig::scale(0.01));
     let sys = GpuSystem::c2070();
-    for strat in strategies() {
-        check(&format!("Q1 {strat:?}"), strat, |s| q1::run_q1(&sys, &db, s).unwrap());
-        check(&format!("Q6 {strat:?}"), strat, |s| q6::run_q6(&sys, &db, s).unwrap());
-        check(&format!("Q21 {strat:?}"), strat, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
-    }
-    engine::set_batch_enabled(true);
-}
-
-// Scratch-poisoning equivalence: the arena's reused banks carry arbitrary
-// garbage between checkouts, and the batch operators' validity-bitmap-only
-// contract says no lane beyond the live count may influence an answer. The
-// poison toggle overwrites every reused bank (and the mask beyond the tail)
-// with sentinel bit patterns — quiet-NaN payloads in f64 lanes, alternating
-// bits in masks — before each run, so any operator that reads a stale or
-// unselected lane produces a bitwise-visible diff against the scalar
-// engine. Reuse-off is the control: fresh banks every checkout.
-#[test]
-fn scratch_poisoning_never_changes_tpch_answers() {
-    let _g = serial();
-    let db: TpchDb = generate(TpchConfig::scale(0.01));
-    let sys = GpuSystem::c2070();
-    for reuse in [false, true] {
-        for poison in [false, true] {
-            engine::set_scratch_reuse(reuse);
-            engine::set_scratch_poison(poison);
-            let what = |q: &str| format!("{q} reuse={reuse} poison={poison}");
-            check(&what("Q1"), Strategy::Serial, |s| q1::run_q1(&sys, &db, s).unwrap());
-            check(&what("Q6"), Strategy::Serial, |s| q6::run_q6(&sys, &db, s).unwrap());
-            check(&what("Q21"), Strategy::Serial, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
+    let queries = [
+        ("Q1", q1::q1_plan(), q1::q1_inputs(&db)),
+        ("Q6", q6::q6_plan(), q6::q6_inputs(&db)),
+        ("Q21", q21::q21_plan(20), q21::q21_inputs(&db)),
+    ];
+    for strat in [Strategy::Serial, Strategy::Fusion, Strategy::FusionFission { segments: 8 }] {
+        for (name, plan, inputs) in &queries {
+            check(&format!("{name} {strat:?}"), &sys, plan, inputs, strat);
         }
     }
-    engine::set_scratch_reuse(true);
-    engine::set_scratch_poison(false);
-    engine::set_batch_enabled(true);
 }

@@ -8,8 +8,7 @@
 //! on the first region allocation of a second run — the same measurement
 //! the `throughput_host` bench gates in CI, here at test scale.
 
-use kfusion::core::exec::Strategy;
-use kfusion::relalg::engine;
+use kfusion::core::exec::{execute, Engine, ExecConfig, Strategy};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::q1;
 use kfusion::trace::allocwatch;
@@ -22,13 +21,14 @@ static ALLOC: allocwatch::CountingAlloc = allocwatch::CountingAlloc;
 fn warm_q1_steady_state_allocates_nothing() {
     let db = generate(TpchConfig::scale(0.02));
     let sys = GpuSystem::c2070();
-    engine::set_batch_enabled(true);
+    let (plan, inputs) = (q1::q1_plan(), q1::q1_inputs(&db));
+    let cfg = ExecConfig { engine: Engine::Batch, ..ExecConfig::new(Strategy::Serial, &sys) };
     // Warm run: grows every reusable buffer and scratch bank to capacity.
-    q1::run_q1(&sys, &db, Strategy::Serial).unwrap();
+    execute(&sys, &plan, &inputs, &cfg).unwrap();
 
     allocwatch::reset();
     allocwatch::set_enabled(true);
-    q1::run_q1(&sys, &db, Strategy::Serial).unwrap();
+    execute(&sys, &plan, &inputs, &cfg).unwrap();
     allocwatch::set_enabled(false);
 
     let (region_allocs, region_bytes) = allocwatch::region_counts();
