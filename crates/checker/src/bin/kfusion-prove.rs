@@ -14,7 +14,9 @@
 //!   ([`prover::prove_body_equiv`]);
 //! * **fusion** — every fused group's raw splice (fused at O0) against its
 //!   optimized splice, which covers the fuse wiring and the cross-kernel
-//!   rewrites (range-check merging, CSE) in one proof;
+//!   rewrites (range-check merging, CSE) in one proof; and the same for
+//!   every fused SELECT chain's running-conjunction kernel, the code the
+//!   host's functional phase executes;
 //! * **fusion-fission** — additionally, the segment partitions fission
 //!   would emit, over the adversarial totals that defeat rounding schemes
 //!   ([`prover::check_partition`]).
@@ -26,6 +28,7 @@
 
 use kfusion_check::prover;
 use kfusion_core::analyze::fused_group_body;
+use kfusion_core::fusion::select_chains;
 use kfusion_core::graph::{OpKind, PlanGraph};
 use kfusion_core::{fuse_plan, FusionBudget};
 use kfusion_ir::opt::{optimize, OptLevel};
@@ -119,6 +122,15 @@ fn prove_target_level(target: &str, graph: &PlanGraph, level: OptLevel, strategy
                 tally.add(&origin, prover::prove_body_equiv(&raw, &opt));
             }
         }
+        // Fused SELECT chains: the running-conjunction kernel the host
+        // executes, raw splice vs optimized.
+        let roots = [graph.root];
+        let raw = select_chains(graph, &plan, &roots, OptLevel::O0);
+        let opt = select_chains(graph, &plan, &roots, level);
+        for (ci, (raw, opt)) in raw.iter().zip(&opt).enumerate() {
+            let origin = format!("{target} {level:?} {strategy}: select chain {ci}");
+            tally.add(&origin, prover::prove_body_equiv(&raw.kernel, &opt.kernel));
+        }
     }
 
     if strategy == "fusion-fission" {
@@ -182,6 +194,7 @@ fn measure_overhead(graph: &PlanGraph) -> f64 {
             for members in &plan.groups {
                 let _ = fused_group_body(graph, members, level);
             }
+            let _ = select_chains(graph, &plan, &[graph.root], level);
             let _ = kfusion_core::check::check_fusion(graph, &plan);
         }
         let wall = start.elapsed().as_nanos() as u64;

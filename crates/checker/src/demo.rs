@@ -79,7 +79,7 @@ pub fn demo_defects() -> LintReport {
     for &m in &members {
         group_of[m] = Some(0);
     }
-    let fusion = FusionPlan { group_of, groups: vec![members] };
+    let fusion = FusionPlan { group_of, groups: vec![members], chains: Vec::new() };
     let tiny = FusionBudget { max_regs_per_thread: STAGE_REGS + 2 };
     report.lints.extend(lint_fusion(&g, &fusion, &tiny, OptLevel::O3));
 

@@ -841,6 +841,7 @@ mod tests {
                 v
             },
             groups: vec![members],
+            chains: Vec::new(),
         };
         let budget = FusionBudget { max_regs_per_thread: STAGE_REGS + 2 };
         let lints = lint_fusion(&g, &fusion, &budget, OptLevel::O3);

@@ -212,6 +212,7 @@ fn seeded_defect_classes_have_distinct_diagnostics() {
     let fusion = FusionPlan {
         group_of: vec![None, Some(0), Some(1), Some(0)],
         groups: vec![vec![s1, s3], vec![so]],
+        chains: Vec::new(),
     };
     let plan_err = plan::check_fusion(&g, &fusion).unwrap_err();
     assert!(matches!(plan_err, plan::FusionCheckError::NonConvex { .. }), "{plan_err:?}");

@@ -714,7 +714,11 @@ mod tests {
         let i = g.input(0);
         let s = select(&mut g, i, 100);
         let so = g.add(OpKind::Sort { by: SortBy::Key }, vec![s]);
-        let plan = FusionPlan { group_of: vec![None, Some(0), Some(0)], groups: vec![vec![s, so]] };
+        let plan = FusionPlan {
+            group_of: vec![None, Some(0), Some(0)],
+            groups: vec![vec![s, so]],
+            chains: Vec::new(),
+        };
         assert!(matches!(
             check_fusion(&g, &plan),
             Err(FusionCheckError::BarrierInFusedGroup { node: 2, group: 0 })
@@ -727,7 +731,11 @@ mod tests {
         let i = g.input(0);
         let a = g.add(OpKind::AggregateAll { aggs: vec![Agg::Count] }, vec![i]);
         let s = select(&mut g, a, 10);
-        let plan = FusionPlan { group_of: vec![None, Some(0), Some(0)], groups: vec![vec![a, s]] };
+        let plan = FusionPlan {
+            group_of: vec![None, Some(0), Some(0)],
+            groups: vec![vec![a, s]],
+            chains: Vec::new(),
+        };
         assert!(matches!(
             check_fusion(&g, &plan),
             Err(FusionCheckError::FusedPastTerminal { terminal: 1, consumer: 2, group: 0 })
@@ -746,6 +754,7 @@ mod tests {
         let plan = FusionPlan {
             group_of: vec![None, Some(0), Some(1), Some(0)],
             groups: vec![vec![s1, s3], vec![outside]],
+            chains: Vec::new(),
         };
         let err = check_fusion(&g, &plan).unwrap_err();
         match err {
@@ -765,19 +774,28 @@ mod tests {
         let i = g.input(0);
         let s = select(&mut g, i, 100);
         // group_of disagrees with the member lists.
-        let plan = FusionPlan { group_of: vec![None, None], groups: vec![vec![s]] };
+        let plan =
+            FusionPlan { group_of: vec![None, None], groups: vec![vec![s]], chains: Vec::new() };
         assert!(matches!(
             check_fusion(&g, &plan),
             Err(FusionCheckError::MembershipMismatch { node: 1, .. })
         ));
         // Input listed as a member.
-        let plan = FusionPlan { group_of: vec![None, Some(0)], groups: vec![vec![i, s]] };
+        let plan = FusionPlan {
+            group_of: vec![None, Some(0)],
+            groups: vec![vec![i, s]],
+            chains: Vec::new(),
+        };
         assert!(matches!(
             check_fusion(&g, &plan),
             Err(FusionCheckError::InputInGroup { node: 0, group: 0 })
         ));
         // Duplicate membership.
-        let plan = FusionPlan { group_of: vec![None, Some(0)], groups: vec![vec![s], vec![s]] };
+        let plan = FusionPlan {
+            group_of: vec![None, Some(0)],
+            groups: vec![vec![s], vec![s]],
+            chains: Vec::new(),
+        };
         assert!(matches!(
             check_fusion(&g, &plan),
             Err(FusionCheckError::DuplicateMember { node: 1 })

@@ -3,10 +3,12 @@
 //!
 //! Execution is two-phase. The **functional phase** evaluates every node of
 //! the [`PlanGraph`] on real relations (host threads), which both produces
-//! the query answer and measures every intermediate cardinality. The
-//! **timing phase** then emits the strategy's command stream — whose kernel
-//! profiles and transfer sizes are driven by those measured cardinalities —
-//! and runs it through the virtual GPU's discrete-event simulator.
+//! the query answer and measures every intermediate cardinality; under the
+//! fused strategies each SELECT chain of a fusion group runs as one pass of
+//! its fused predicate kernel ([`FusedChain`]). The **timing phase** then
+//! emits the strategy's command stream — whose kernel profiles and transfer
+//! sizes are driven by those measured cardinalities — and runs it through
+//! the virtual GPU's discrete-event simulator.
 //!
 //! Strategies mirror the paper's evaluation (§V):
 //!
@@ -29,7 +31,7 @@
 
 use crate::cost::{group_regs, member_instr, FusionBudget};
 use crate::deps::streamable;
-use crate::fusion::{fuse_plan, FusionPlan};
+use crate::fusion::{fuse_plan, select_chains, FusedChain, FusionPlan};
 use crate::graph::{NodeId, OpKind, PlanGraph};
 use crate::report::Report;
 use crate::CoreError;
@@ -132,23 +134,15 @@ pub fn execute(
     inputs: &[Relation],
     cfg: &ExecConfig,
 ) -> Result<ExecResult, CoreError> {
-    let roots = [graph.root];
-    let (mut outputs, report, explain, fusion, peak) =
-        run_plan(system, graph, inputs, cfg, &roots, None)?;
-    Ok(ExecResult {
-        output: outputs.pop().expect("one root"),
-        report,
-        explain,
-        fusion,
-        peak_resident_bytes: peak,
-    })
+    run_plan(system, graph, inputs, cfg, &[graph.root], None).map(Run::into_result)
 }
 
 /// Run the compile-side pipeline alone — verify (under the `check`
-/// feature), then fuse at `cfg.level` under `cfg.budget` — and return the
-/// [`FusionPlan`] it settles on. This is the expensive per-*shape* half of
-/// an execution; `kfusion-server` caches its result behind an `Arc` so
-/// concurrent submissions of structurally identical plans pay it once.
+/// feature), then fuse at `cfg.level` under `cfg.budget` and build each
+/// group's fused SELECT-chain kernel — and return the [`FusionPlan`] it
+/// settles on. This is the expensive per-*shape* half of an execution;
+/// `kfusion-server` caches its result behind an `Arc` so concurrent
+/// submissions of structurally identical plans pay it once.
 ///
 /// Serial strategies get the singleton plan the executor would build for
 /// them, so a cached plan is valid for exactly the `(strategy-class,
@@ -160,18 +154,21 @@ pub fn prepare_fusion(graph: &PlanGraph, cfg: &ExecConfig) -> Result<FusionPlan,
     graph.validate()?;
     let _span =
         kfusion_trace::enabled().then(|| kfusion_trace::host_span("host", "prepare_fusion"));
-    Ok(plan_for(graph, cfg))
+    Ok(plan_for(graph, cfg, &[graph.root]))
 }
 
-/// The fusion plan `cfg.strategy` runs: singleton groups for the unfused
-/// strategies, the fusion pass's groups otherwise.
-fn plan_for(graph: &PlanGraph, cfg: &ExecConfig) -> FusionPlan {
+/// The fusion plan `cfg.strategy` runs for `roots`: singleton groups (and
+/// no fused chains) for the unfused strategies, the fusion pass's groups
+/// and their SELECT chains otherwise.
+fn plan_for(graph: &PlanGraph, cfg: &ExecConfig, roots: &[NodeId]) -> FusionPlan {
     match cfg.strategy {
         Strategy::Serial | Strategy::SerialRoundTrip | Strategy::Fission { .. } => {
             singleton_plan(graph)
         }
         Strategy::Fusion | Strategy::FusionFission { .. } => {
-            fuse_plan(graph, &cfg.budget, cfg.level)
+            let mut plan = fuse_plan(graph, &cfg.budget, cfg.level);
+            plan.chains = select_chains(graph, &plan, roots, cfg.level);
+            plan
         }
     }
 }
@@ -181,10 +178,10 @@ fn plan_for(graph: &PlanGraph, cfg: &ExecConfig) -> FusionPlan {
 /// schedule certifier (`kfusion-model::certify`) proves deadlock-freedom
 /// and memory bounds over.
 ///
-/// Runs the functional phase (schedules are sized from real cardinalities,
-/// so certifying a schedule certifies it for the actual data, not a guess)
-/// and the fusion pipeline, then builds the schedule exactly as execution
-/// would.
+/// Runs the compile-side pipeline and the same functional phase as
+/// [`execute`] (schedules are sized from real cardinalities, so certifying
+/// a schedule certifies it for the actual data, not a guess), then builds
+/// the schedule exactly as execution would.
 pub fn plan_schedule(
     system: &GpuSystem,
     graph: &PlanGraph,
@@ -192,24 +189,23 @@ pub fn plan_schedule(
     cfg: &ExecConfig,
 ) -> Result<Schedule, CoreError> {
     let fusion = prepare_fusion(graph, cfg)?;
-    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
-    for wave in wavefronts(graph) {
-        for id in wave {
-            slots[id] = Some(eval_node(graph, id, inputs, &slots, None, cfg.engine)?);
-        }
-    }
-    let results: Vec<NodeVal> =
-        slots.into_iter().map(|r| r.expect("every wave filled its nodes")).collect();
-    let stats = Stats::collect(&results);
-    Ok(build_schedule(system, graph, &fusion, &stats, cfg, &[graph.root]))
+    let roots = [graph.root];
+    let functional = functional_phase(graph, inputs, cfg, &roots, &fusion)?;
+    Ok(build_schedule(system, graph, &fusion, &functional.stats, cfg, &roots))
 }
 
 /// [`execute`], but with the compile-side pipeline already done: `fusion`
 /// must come from [`prepare_fusion`] on a structurally identical graph
 /// under the same `cfg`. The full plan check is skipped (it ran in
-/// `prepare_fusion`); only the cheap structural validation repeats. The
-/// functional phase never consumes the fusion plan, so the answer is
-/// byte-identical to an uncached [`execute`] by construction.
+/// `prepare_fusion`); only the cheap structural validation repeats.
+///
+/// The functional phase runs the plan's fused SELECT chains, so a plan
+/// prepared for a different graph could change the answer. Before each
+/// pass the executor checks that the chain still matches this graph —
+/// member ids, edges, predicate bodies (`==`) and roots
+/// (`FusedChain::matches`); a chain that does not match runs node by
+/// node. A fingerprint collision in the plan cache can therefore perturb
+/// timing only, never the answer.
 pub fn execute_prepared(
     system: &GpuSystem,
     graph: &PlanGraph,
@@ -217,16 +213,7 @@ pub fn execute_prepared(
     cfg: &ExecConfig,
     fusion: &FusionPlan,
 ) -> Result<ExecResult, CoreError> {
-    let roots = [graph.root];
-    let (mut outputs, report, explain, fusion, peak) =
-        run_plan(system, graph, inputs, cfg, &roots, Some(fusion))?;
-    Ok(ExecResult {
-        output: outputs.pop().expect("one root"),
-        report,
-        explain,
-        fusion,
-        peak_resident_bytes: peak,
-    })
+    run_plan(system, graph, inputs, cfg, &[graph.root], Some(fusion)).map(Run::into_result)
 }
 
 /// Multi-root execution used by [`crate::multiquery`]: same engine, one
@@ -239,14 +226,39 @@ pub(crate) fn execute_multi_impl(
     roots: &[NodeId],
     prepared: Option<&FusionPlan>,
 ) -> Result<crate::multiquery::MultiResult, CoreError> {
-    let (outputs, report, _explain, fusion, _peak) =
-        run_plan(system, graph, inputs, cfg, roots, prepared)?;
-    Ok(crate::multiquery::MultiResult { outputs, report, fusion })
+    let run = run_plan(system, graph, inputs, cfg, roots, prepared)?;
+    Ok(crate::multiquery::MultiResult {
+        outputs: run.outputs,
+        report: run.report,
+        fusion: run.fusion,
+    })
 }
 
-/// The shared engine: functional phase, fusion, schedule, simulate. Returns
-/// the relations at `roots` (in order) plus the report, the explain tree
-/// (rooted at `roots[0]`), the fusion plan, and peak residency.
+/// Everything one [`run_plan`] produces.
+struct Run {
+    /// The relations at the requested roots, in order.
+    outputs: Vec<Relation>,
+    report: Report,
+    /// Rooted at the first requested root.
+    explain: kfusion_trace::explain::ExplainNode,
+    fusion: FusionPlan,
+    peak: u64,
+}
+
+impl Run {
+    fn into_result(mut self) -> ExecResult {
+        ExecResult {
+            output: self.outputs.pop().expect("one root"),
+            report: self.report,
+            explain: self.explain,
+            fusion: self.fusion,
+            peak_resident_bytes: self.peak,
+        }
+    }
+}
+
+/// The shared engine: check, fusion plan, functional phase, schedule,
+/// simulate.
 fn run_plan(
     system: &GpuSystem,
     graph: &PlanGraph,
@@ -254,95 +266,37 @@ fn run_plan(
     cfg: &ExecConfig,
     roots: &[NodeId],
     prepared: Option<&FusionPlan>,
-) -> Result<(Vec<Relation>, Report, kfusion_trace::explain::ExplainNode, FusionPlan, u64), CoreError>
-{
+) -> Result<Run, CoreError> {
     // With the `check` feature (default-on) the full plan verifier runs —
     // body typing, column bounds, sortedness preconditions — so executor
     // and simulator only ever see plans that cannot trip their own asserts.
     // A prepared fusion plan certifies the full check already ran (in
     // `prepare_fusion`) on this structure; only the cheap validation stays.
-    match prepared {
-        Some(_) => graph.validate()?,
+    let fusion = match prepared {
+        Some(p) => {
+            graph.validate()?;
+            p.clone()
+        }
         None => {
             #[cfg(feature = "check")]
             crate::check::check_plan(graph)?;
             #[cfg(not(feature = "check"))]
             graph.validate()?;
+            plan_for(graph, cfg, roots)
         }
-    }
-    // ---- Functional phase -------------------------------------------------
-    // Independent nodes evaluate in parallel: topological wavefronts (a
-    // node's level is one past its deepest input) run on scoped threads,
-    // results land indexed by node id, and a wave's errors surface in id
-    // order — so answers are deterministic and identical to a serial loop.
-    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
-    let mut host_secs = vec![0.0f64; graph.len()];
-    // Cardinalities are captured the moment a slot fills, because a
-    // downstream in-place operator may later *steal* the relation out of a
-    // single-consumer slot (see `steal_input`) — the timing phase still
-    // needs every node's measured size.
-    let mut stats = Stats { rows: vec![0; graph.len()], row_bytes: vec![0.0; graph.len()] };
-    let consumers = graph.consumer_counts();
-    {
+    };
+    let mut functional = {
         let _phase = kfusion_trace::host_span("host", "functional_phase");
-        for (level, wave) in wavefronts(graph).into_iter().enumerate() {
-            let _wave = kfusion_trace::enabled()
-                .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
-            if wave.len() == 1 {
-                let id = wave[0];
-                let stolen = steal_input(graph, id, roots, &consumers, &mut slots);
-                let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen, cfg.engine)?;
-                stats.record(id, rel.as_rel());
-                slots[id] = Some(rel);
-                host_secs[id] = secs;
-            } else {
-                let mut stolen: Vec<Option<Relation>> = wave
-                    .iter()
-                    .map(|&id| steal_input(graph, id, roots, &consumers, &mut slots))
-                    .collect();
-                type WaveResults<'a> = Vec<(NodeId, Result<(NodeVal<'a>, f64), CoreError>)>;
-                let evaluated: WaveResults = std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .zip(stolen.iter_mut().map(Option::take))
-                        .map(|(&id, st)| {
-                            let slots = &slots;
-                            let engine = cfg.engine;
-                            (
-                                id,
-                                scope.spawn(move || {
-                                    eval_node_timed(graph, id, inputs, slots, st, engine)
-                                }),
-                            )
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(id, h)| (id, h.join().expect("plan node evaluation panicked")))
-                        .collect()
-                });
-                for (id, r) in evaluated {
-                    let (rel, secs) = r?;
-                    stats.record(id, rel.as_rel());
-                    slots[id] = Some(rel);
-                    host_secs[id] = secs;
-                }
-            }
-        }
-    }
+        functional_phase(graph, inputs, cfg, roots, &fusion)?
+    };
+    let stats = &functional.stats;
 
     // ---- Timing phase -----------------------------------------------------
-    let (fusion, timeline) = {
+    let timeline = {
         let _phase = kfusion_trace::host_span("host", "timing_phase");
-        let fusion = match prepared {
-            Some(p) => p.clone(),
-            None => plan_for(graph, cfg),
-        };
-        let schedule = build_schedule(system, graph, &fusion, &stats, cfg, roots);
-        let timeline = system.simulate(&schedule)?;
-        (fusion, timeline)
+        system.simulate(&build_schedule(system, graph, &fusion, stats, cfg, roots))?
     };
-    let input_bytes: f64 = plan_input_bytes(graph, &stats);
+    let input_bytes: f64 = plan_input_bytes(graph, stats);
     let elements: u64 = graph
         .nodes
         .iter()
@@ -350,13 +304,12 @@ fn run_plan(
         .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
         .map(|(id, _)| stats.rows[id])
         .sum();
-    let peak = peak_resident_bytes(graph, &stats);
-    let outputs: Vec<Relation> = roots
-        .iter()
-        .map(|&r| slots[r].as_ref().expect("roots are never stolen").as_rel().clone())
-        .collect();
-    let measurements =
-        crate::explain::NodeMeasurements { rows: &stats.rows, host_seconds: &host_secs };
+    let peak = peak_resident_bytes(graph, stats);
+    let measurements = crate::explain::NodeMeasurements {
+        rows: &stats.rows,
+        host_seconds: &functional.host_secs,
+        fused_pass: &functional.pass_of,
+    };
     let explain = crate::explain::build_explain(
         graph,
         &fusion,
@@ -365,13 +318,232 @@ fn run_plan(
         cfg.level,
         roots[0],
     );
-    Ok((outputs, Report::new(timeline, elements, input_bytes), explain, fusion, peak))
+    let outputs = take_roots(&mut functional.slots, roots);
+    Ok(Run { outputs, report: Report::new(timeline, elements, input_bytes), explain, fusion, peak })
 }
 
-/// Evaluate one node under a host trace span, returning the relation and
-/// the wall-clock seconds the evaluation took (the EXPLAIN tree's
-/// `host=` column). Runs on the wave's thread, so parallel nodes land on
-/// distinct host lanes.
+/// The relations at `roots`, in order. An owned result moves out of its
+/// slot; only a borrowed plan input, or a root requested again later in
+/// `roots`, is cloned.
+fn take_roots(slots: &mut [Option<NodeVal>], roots: &[NodeId]) -> Vec<Relation> {
+    roots
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| match slots[r].take().expect("roots are never stolen") {
+            NodeVal::Owned(rel) if !roots[i + 1..].contains(&r) => rel,
+            val => {
+                let rel = val.as_rel().clone();
+                slots[r] = Some(val);
+                rel
+            }
+        })
+        .collect()
+}
+
+/// How the functional phase evaluates one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Its own operator.
+    Node,
+    /// The last member of fused chain `c` (an index into
+    /// [`FusionPlan::chains`]): the whole chain runs here.
+    Chain(usize),
+    /// An earlier chain member, evaluated by its chain's step.
+    InChain,
+}
+
+/// What the functional phase leaves behind.
+struct Functional<'a> {
+    /// Node results not stolen or skipped; every requested root is here.
+    slots: Vec<Option<NodeVal<'a>>>,
+    /// Every node's measured size, for the timing phase.
+    stats: Stats,
+    /// Host wall-clock seconds per node (EXPLAIN's `host=` column).
+    host_secs: Vec<f64>,
+    /// Per node: the fused chain pass that evaluated it, if any.
+    pass_of: Vec<Option<usize>>,
+}
+
+/// One evaluated step: the value of its node plus, for every node the step
+/// evaluated (a chain's members, or the node alone), its rows and host
+/// seconds. Every such node has the value's schema.
+struct StepOut<'a> {
+    val: NodeVal<'a>,
+    measured: Vec<(NodeId, u64, f64)>,
+    /// The chain whose fused pass produced `val`.
+    pass: Option<usize>,
+}
+
+/// The functional phase: evaluate every node of `graph` on real relations
+/// (host threads), producing the answer and measuring every cardinality.
+///
+/// Independent nodes evaluate in parallel: topological wavefronts (a
+/// node's level is one past its deepest input) run on scoped threads,
+/// results land indexed by node id, and a wave's errors surface in id
+/// order — so answers are deterministic and identical to a serial loop.
+///
+/// Under the batch engine each of `fusion`'s SELECT chains that still
+/// matches the graph runs as one step at its last member: one pass of the
+/// chain's fused kernel and one gather ([`ops::select_fused`]). Every
+/// member still gets its exact row count, so the schedule, the residency
+/// scan and EXPLAIN see the same sizes as node-by-node evaluation; the
+/// other operators run on the chain's result unchanged.
+fn functional_phase<'a>(
+    graph: &PlanGraph,
+    inputs: &'a [Relation],
+    cfg: &ExecConfig,
+    roots: &[NodeId],
+    fusion: &FusionPlan,
+) -> Result<Functional<'a>, CoreError> {
+    let consumers = graph.consumer_counts();
+    let mut steps = vec![Step::Node; graph.len()];
+    if cfg.engine == Engine::Batch {
+        for (c, chain) in fusion.chains.iter().enumerate() {
+            if chain.matches(graph, &consumers, roots)
+                && chain.members.iter().all(|&m| steps[m] == Step::Node)
+            {
+                let (&last, interior) = chain.members.split_last().expect("matched chain");
+                for &m in interior {
+                    steps[m] = Step::InChain;
+                }
+                steps[last] = Step::Chain(c);
+            }
+        }
+    }
+    let n = graph.len();
+    // Cardinalities are captured the moment a slot fills, because a
+    // downstream in-place operator may later *steal* the relation out of a
+    // single-consumer slot (see `steal_input`) — the timing phase still
+    // needs every node's measured size.
+    let mut f = Functional {
+        slots: (0..n).map(|_| None).collect(),
+        stats: Stats { rows: vec![0; n], row_bytes: vec![0.0; n] },
+        host_secs: vec![0.0; n],
+        pass_of: vec![None; n],
+    };
+    let record = |f: &mut Functional<'a>, id: NodeId, out: StepOut<'a>| {
+        let row_bytes = out.val.as_rel().row_bytes() as f64;
+        for (m, rows, secs) in out.measured {
+            f.stats.rows[m] = rows;
+            f.stats.row_bytes[m] = row_bytes;
+            f.host_secs[m] = secs;
+            f.pass_of[m] = out.pass;
+        }
+        f.slots[id] = Some(out.val);
+    };
+    for (level, wave) in wavefronts(graph).into_iter().enumerate() {
+        let wave: Vec<NodeId> = wave.into_iter().filter(|&id| steps[id] != Step::InChain).collect();
+        if wave.is_empty() {
+            continue;
+        }
+        let _wave = kfusion_trace::enabled()
+            .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
+        if let [id] = wave[..] {
+            let stolen = steal_input(graph, id, roots, &consumers, &mut f.slots);
+            let out =
+                eval_step(graph, fusion, id, steps[id], inputs, &f.slots, stolen, cfg.engine)?;
+            record(&mut f, id, out);
+        } else {
+            let mut stolen: Vec<Option<Relation>> = wave
+                .iter()
+                .map(|&id| steal_input(graph, id, roots, &consumers, &mut f.slots))
+                .collect();
+            type WaveResults<'a> = Vec<(NodeId, Result<StepOut<'a>, CoreError>)>;
+            let evaluated: WaveResults = std::thread::scope(|scope| {
+                let handles: Vec<_> = wave
+                    .iter()
+                    .zip(stolen.iter_mut().map(Option::take))
+                    .map(|(&id, st)| {
+                        let slots = &f.slots;
+                        let (step, engine) = (steps[id], cfg.engine);
+                        (
+                            id,
+                            scope.spawn(move || {
+                                eval_step(graph, fusion, id, step, inputs, slots, st, engine)
+                            }),
+                        )
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(id, h)| (id, h.join().expect("plan node evaluation panicked")))
+                    .collect()
+            });
+            for (id, r) in evaluated {
+                record(&mut f, id, r?);
+            }
+        }
+    }
+    Ok(f)
+}
+
+/// Evaluate one step under a host trace span, timing it (the EXPLAIN
+/// tree's `host=` column). Runs on the wave's thread, so parallel nodes
+/// land on distinct host lanes.
+#[allow(clippy::too_many_arguments)]
+fn eval_step<'a>(
+    graph: &PlanGraph,
+    fusion: &FusionPlan,
+    id: NodeId,
+    step: Step,
+    inputs: &'a [Relation],
+    slots: &[Option<NodeVal<'a>>],
+    stolen: Option<Relation>,
+    engine: Engine,
+) -> Result<StepOut<'a>, CoreError> {
+    if let Step::Chain(c) = step {
+        return run_chain(graph, c, &fusion.chains[c], slots, engine);
+    }
+    let (val, secs) = eval_node_timed(graph, id, inputs, slots, stolen, engine)?;
+    Ok(StepOut { measured: vec![(id, val.as_rel().len() as u64, secs)], val, pass: None })
+}
+
+/// Run fused chain `c`: one pass of its fused kernel over the chain's
+/// input, or — when the pass declines ([`ops::select_fused`]) — its
+/// members one after another, exactly as node-by-node evaluation would.
+/// The pass is one indivisible evaluation, so its host time is charged to
+/// the member whose result it materializes, the last.
+fn run_chain<'a>(
+    graph: &PlanGraph,
+    c: usize,
+    chain: &FusedChain,
+    slots: &[Option<NodeVal<'a>>],
+    engine: Engine,
+) -> Result<StepOut<'a>, CoreError> {
+    let (first, last) = (chain.members[0], *chain.members.last().expect("matched chain"));
+    let input = slots[graph.nodes[first].inputs[0]].as_ref().expect("input wave completed");
+    let input = input.as_rel();
+    {
+        let _span = kfusion_trace::enabled()
+            .then(|| kfusion_trace::host_span("host", &format!("select_chain#{first}-{last}")));
+        let t0 = std::time::Instant::now();
+        if let Some((rel, counts)) = ops::select_fused(input, &chain.preds, &chain.kernel) {
+            let secs = t0.elapsed().as_secs_f64();
+            kfusion_trace::counter("kfusion_host_fused_chain_passes_total", 1);
+            let measured = chain
+                .members
+                .iter()
+                .zip(counts)
+                .map(|(&m, rows)| (m, rows, if m == last { secs } else { 0.0 }))
+                .collect();
+            return Ok(StepOut { val: NodeVal::Owned(rel), measured, pass: Some(c) });
+        }
+    }
+    let mut measured = Vec::with_capacity(chain.members.len());
+    let mut cur: Option<Relation> = None;
+    for (&m, pred) in chain.members.iter().zip(&chain.preds) {
+        let _span = kfusion_trace::enabled()
+            .then(|| kfusion_trace::host_span("host", &format!("select#{m}")));
+        let t0 = std::time::Instant::now();
+        let out = ops::select(cur.as_ref().unwrap_or(input), pred, engine)?;
+        measured.push((m, out.len() as u64, t0.elapsed().as_secs_f64()));
+        cur = Some(out);
+    }
+    Ok(StepOut { val: NodeVal::Owned(cur.expect("matched chain")), measured, pass: None })
+}
+
+/// Evaluate one plan node under a host trace span, returning the relation
+/// and the wall-clock seconds the evaluation took.
 fn eval_node_timed<'a>(
     graph: &PlanGraph,
     id: NodeId,
@@ -402,7 +574,13 @@ fn steal_input(
     slots: &mut [Option<NodeVal>],
 ) -> Option<Relation> {
     let node = &graph.nodes[id];
-    if !matches!(node.kind, OpKind::ArithExtend { .. } | OpKind::Rekey { .. }) {
+    if !matches!(
+        node.kind,
+        OpKind::ArithExtend { .. }
+            | OpKind::Rekey { .. }
+            | OpKind::Sort { .. }
+            | OpKind::ColumnJoin
+    ) {
         return None;
     }
     let p = *node.inputs.first()?;
@@ -479,6 +657,8 @@ fn eval_node<'a>(
         return Ok(NodeVal::Owned(match &node.kind {
             OpKind::ArithExtend { body } => ops::arith_extend_owned(rel, body, engine)?,
             OpKind::Rekey { col } => ops::rekey_owned(rel, *col)?,
+            OpKind::Sort { by } => ops::sort_owned(rel, *by)?,
+            OpKind::ColumnJoin => ops::column_join_owned(rel, get(1))?,
             _ => unreachable!("steal_input only feeds in-place operators"),
         }));
     }
@@ -563,7 +743,7 @@ fn singleton_plan(graph: &PlanGraph) -> FusionPlan {
             groups.push(vec![id]);
         }
     }
-    FusionPlan { group_of, groups }
+    FusionPlan { group_of, groups, chains: Vec::new() }
 }
 
 /// Per-node sizes, indexed by [`NodeId`] — everything the timing phase
@@ -579,18 +759,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    fn collect(results: &[NodeVal]) -> Self {
-        Stats {
-            rows: results.iter().map(|r| r.as_rel().len() as u64).collect(),
-            row_bytes: results.iter().map(|r| r.as_rel().row_bytes() as f64).collect(),
-        }
-    }
-
-    fn record(&mut self, id: NodeId, rel: &Relation) {
-        self.rows[id] = rel.len() as u64;
-        self.row_bytes[id] = rel.row_bytes() as f64;
-    }
-
     /// Output bytes of node `id`.
     pub fn bytes(&self, id: NodeId) -> u64 {
         (self.rows[id] as f64 * self.row_bytes[id]).ceil() as u64
@@ -1431,6 +1599,90 @@ mod tests {
             assert_eq!(prepared.output, plain.output);
             assert_eq!(prepared.report.total(), plain.report.total());
             assert_eq!(prepared.fusion.groups, plain.fusion.groups);
+        }
+    }
+
+    /// (label, rows, fused pass) of every node of an EXPLAIN tree.
+    fn explain_rows(
+        node: &kfusion_trace::explain::ExplainNode,
+    ) -> Vec<(String, u64, Option<usize>)> {
+        let mut out = vec![(node.label.clone(), node.rows, node.fused_pass)];
+        out.extend(node.children.iter().flat_map(explain_rows));
+        out
+    }
+
+    /// in → s1 → s2 → s3 → s4, where `s2` is also a requested root or also
+    /// read by a SORT outside the group: the chain splits after `s2` into
+    /// two fused passes, and every output and row count still matches the
+    /// node-by-node serial oracle.
+    #[test]
+    fn chains_split_at_an_interior_root_or_outside_reader() {
+        let s = sys();
+        let input = gen::random_keys(150_000, 11);
+        for outside_reader in [false, true] {
+            let mut g = PlanGraph::new();
+            let mut cur = g.input(0);
+            let mut sel = Vec::new();
+            for k in 0..4 {
+                let t = gen::threshold_for_selectivity(0.9 - 0.2 * k as f64);
+                cur = g.add(OpKind::Select { pred: predicates::key_lt(t) }, vec![cur]);
+                sel.push(cur);
+            }
+            let roots = if outside_reader {
+                let sort = g.add(OpKind::Sort { by: ops::SortBy::Key }, vec![sel[1]]);
+                vec![sel[3], sort]
+            } else {
+                vec![sel[3], sel[1]]
+            };
+            let run = |strategy| {
+                let cfg = ExecConfig::new(strategy, &s);
+                run_plan(&s, &g, std::slice::from_ref(&input), &cfg, &roots, None).unwrap()
+            };
+            let (fused, serial) = (run(Strategy::Fusion), run(Strategy::Serial));
+            let chains: Vec<Vec<NodeId>> =
+                fused.fusion.chains.iter().map(|c| c.members.clone()).collect();
+            assert_eq!(chains, vec![vec![sel[0], sel[1]], vec![sel[2], sel[3]]]);
+            assert_eq!(fused.outputs, serial.outputs);
+            assert!(fused.outputs.iter().all(|o| !o.is_empty()), "vacuous outputs");
+            let (f_rows, s_rows) = (explain_rows(&fused.explain), explain_rows(&serial.explain));
+            let strip = |v: &[(String, u64, Option<usize>)]| -> Vec<(String, u64)> {
+                v.iter().map(|(l, r, _)| (l.clone(), *r)).collect()
+            };
+            assert_eq!(strip(&f_rows), strip(&s_rows));
+            let pass =
+                |id: NodeId| f_rows.iter().find(|r| r.0 == format!("select#{id}")).unwrap().2;
+            assert_eq!(
+                sel.iter().map(|&id| pass(id)).collect::<Vec<_>>(),
+                vec![Some(0), Some(0), Some(1), Some(1)]
+            );
+            assert_eq!(fused.report.total().to_bits(), {
+                // Same sizes ⇒ the fused strategy's schedule is unchanged
+                // by running its chains on the host.
+                let cfg =
+                    ExecConfig { engine: Engine::Scalar, ..ExecConfig::new(Strategy::Fusion, &s) };
+                run_plan(&s, &g, std::slice::from_ref(&input), &cfg, &roots, None)
+                    .unwrap()
+                    .report
+                    .total()
+                    .to_bits()
+            });
+        }
+    }
+
+    #[test]
+    fn roots_move_out_or_clone_only_when_they_must() {
+        let s = sys();
+        let g = select_chain_graph(2);
+        let input = gen::random_keys(50_000, 12);
+        // A borrowed plan input, and one select requested twice.
+        let roots = [0, 1, 2, 2];
+        for strategy in [Strategy::Serial, Strategy::Fusion] {
+            let cfg = ExecConfig::new(strategy, &s);
+            let run = run_plan(&s, &g, std::slice::from_ref(&input), &cfg, &roots, None).unwrap();
+            assert_eq!(run.outputs.len(), 4);
+            assert_eq!(run.outputs[0], input);
+            assert!(run.outputs[1].len() > run.outputs[2].len());
+            assert_eq!(run.outputs[2], run.outputs[3]);
         }
     }
 

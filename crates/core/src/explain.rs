@@ -20,6 +20,8 @@ pub struct NodeMeasurements<'a> {
     pub rows: &'a [u64],
     /// Host wall-clock seconds of each node's functional evaluation.
     pub host_seconds: &'a [f64],
+    /// The fused chain pass that evaluated each node, if any.
+    pub fused_pass: &'a [Option<usize>],
 }
 
 /// Attribute the simulated timeline to plan nodes.
@@ -86,6 +88,7 @@ fn build_node(
         rows: m.rows.get(id).copied().unwrap_or(0),
         sim_seconds: sim.get(id).copied().unwrap_or(0.0),
         host_seconds: m.host_seconds.get(id).copied().unwrap_or(0.0),
+        fused_pass: m.fused_pass.get(id).copied().flatten(),
         fusion_group,
         max_live_regs,
         children: node
@@ -146,8 +149,11 @@ mod tests {
     fn attributes_node_group_and_segment_labels() {
         let graph = two_select_graph();
         // One fused group holding both selects.
-        let fusion =
-            FusionPlan { group_of: vec![None, Some(0), Some(0)], groups: vec![vec![1, 2]] };
+        let fusion = FusionPlan {
+            group_of: vec![None, Some(0), Some(0)],
+            groups: vec![vec![1, 2]],
+            chains: Vec::new(),
+        };
         let timeline = Timeline {
             spans: vec![
                 span("in#0", 0.0, 1.0),
@@ -158,7 +164,7 @@ mod tests {
         };
         let rows = [100, 50, 25];
         let host = [0.0, 0.001, 0.002];
-        let m = NodeMeasurements { rows: &rows, host_seconds: &host };
+        let m = NodeMeasurements { rows: &rows, host_seconds: &host, fused_pass: &[] };
         let tree = build_explain(&graph, &fusion, &timeline, &m, OptLevel::O3, 2);
         assert_eq!(tree.count(), 3);
         assert_eq!(tree.label, "select#2");

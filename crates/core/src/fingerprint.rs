@@ -12,10 +12,11 @@
 //! and folds every node kind, every IR instruction of every kernel body,
 //! and the edge lists into **two independent 64-bit mix lanes** (a
 //! splitmix64-style finalizer with different seeds). 128 bits make chance
-//! collisions irrelevant at any realistic cache size; the cache still only
-//! ever serves a plan *produced by the deterministic fusion pass*, so even
-//! a collision could only waste work, never corrupt an answer — the
-//! functional phase does not consume the fusion plan.
+//! collisions irrelevant at any realistic cache size. Even a collision
+//! could only waste work, never corrupt an answer: the functional phase
+//! runs a prepared plan's fused SELECT chains only after checking that
+//! each still matches the graph it is handed — member ids, edges and
+//! predicate bodies — and evaluates a mismatched chain node by node.
 
 use crate::cost::FusionBudget;
 use crate::graph::{OpKind, PlanGraph};

@@ -14,7 +14,10 @@
 use crate::cost::{group_regs, FusionBudget};
 use crate::deps::{fusability, Fusability};
 use crate::graph::{NodeId, OpKind, PlanGraph};
-use kfusion_ir::opt::OptLevel;
+use kfusion_ir::builder::{BodyBuilder, Expr};
+use kfusion_ir::fuse::{fuse, FusedOutput, SlotSource};
+use kfusion_ir::opt::{optimize, OptLevel};
+use kfusion_ir::KernelBody;
 
 /// The result of the fusion pass.
 #[derive(Debug, Clone)]
@@ -26,6 +29,140 @@ pub struct FusionPlan {
     /// list. A group of one barrier node is a "group" that simply runs its
     /// own kernels.
     pub groups: Vec<Vec<NodeId>>,
+    /// The groups' SELECT chains with their fused kernels, which the
+    /// host's functional phase runs as one pass each. Filled by
+    /// `exec::prepare_fusion` through [`select_chains`]; empty for
+    /// singleton plans and straight out of [`fuse_plan`].
+    pub chains: Vec<FusedChain>,
+}
+
+/// A maximal chain of ≥ 2 `Select` members of one fusion group — each
+/// member consumes the previous one, and no member but the last is a root
+/// or read by anything else — compiled into one fused predicate kernel.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedChain {
+    /// The member `Select` nodes, producer first.
+    pub members: Vec<NodeId>,
+    /// Each member's predicate, as fused. A prepared chain only runs while
+    /// the graph still holds exactly these bodies on exactly these nodes.
+    pub preds: Vec<KernelBody>,
+    /// The fused, optimized kernel: output `j` is the conjunction of
+    /// `preds[..=j]`, so one pass yields every member's exact row count
+    /// and the last output selects the chain's result.
+    pub kernel: KernelBody,
+}
+
+impl FusedChain {
+    /// Whether this chain still describes `graph` executed for `roots`:
+    /// the same predicate on every member, each member reading only the
+    /// previous one, and every member but the last read by its successor
+    /// alone (`consumers` from [`PlanGraph::consumer_counts`]) and not a
+    /// root. A prepared plan can outlive the graph it was built for (the
+    /// server's plan cache keys on a fingerprint), so the executor checks
+    /// this before every pass.
+    pub(crate) fn matches(&self, graph: &PlanGraph, consumers: &[usize], roots: &[NodeId]) -> bool {
+        let k = self.members.len();
+        k >= 2
+            && self.preds.len() == k
+            && self.kernel.outputs.len() == k
+            && self.members.iter().zip(&self.preds).enumerate().all(|(i, (&m, pred))| {
+                let Some(node) = graph.nodes.get(m) else { return false };
+                let wired = if i == 0 {
+                    node.inputs.len() == 1
+                } else {
+                    node.inputs == [self.members[i - 1]]
+                };
+                let interior_ok = i + 1 == k || (consumers[m] == 1 && !roots.contains(&m));
+                wired
+                    && interior_ok
+                    && matches!(&node.kind, OpKind::Select { pred: p } if p == pred)
+            })
+    }
+}
+
+/// The SELECT chains of `plan`'s groups for a graph executed for `roots`,
+/// each with its fused kernel optimized at `level`: a `Select` continues
+/// its producer's chain when the producer is a `Select` of the same group
+/// read by nothing else and not a root. Chains whose predicates do not
+/// splice into one verifiable kernel are left out (their members run one
+/// by one).
+///
+/// The kernel comes from one [`kfusion_ir::fuse::fuse`] call — the member
+/// predicates over shared input slots plus one `and` stage per running
+/// conjunction — then [`optimize`]; under the `validate` feature both are
+/// translation-validated, so the code the prover accepts is the code the
+/// host runs.
+pub fn select_chains(
+    graph: &PlanGraph,
+    plan: &FusionPlan,
+    roots: &[NodeId],
+    level: OptLevel,
+) -> Vec<FusedChain> {
+    let consumers = graph.consumer_counts();
+    let is_select = |id: NodeId| matches!(graph.nodes[id].kind, OpKind::Select { .. });
+    // next[p] = the member continuing p's chain.
+    let mut next: Vec<Option<NodeId>> = vec![None; graph.len()];
+    let mut continues = vec![false; graph.len()];
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let Some(&p) = node.inputs.first() else { continue };
+        if is_select(id)
+            && is_select(p)
+            && plan.group_of[id].is_some()
+            && plan.group_of[p] == plan.group_of[id]
+            && consumers[p] == 1
+            && !roots.contains(&p)
+        {
+            next[p] = Some(id);
+            continues[id] = true;
+        }
+    }
+    let mut chains = Vec::new();
+    for head in (0..graph.len()).filter(|&id| is_select(id) && !continues[id]) {
+        let mut members = vec![head];
+        while let Some(n) = next[*members.last().expect("non-empty")] {
+            members.push(n);
+        }
+        if members.len() < 2 {
+            continue;
+        }
+        let preds: Vec<KernelBody> = members
+            .iter()
+            .map(|&m| match &graph.nodes[m].kind {
+                OpKind::Select { pred } => pred.clone(),
+                _ => unreachable!("chains hold only selects"),
+            })
+            .collect();
+        if let Some(kernel) = running_conjunction(&preds, level) {
+            chains.push(FusedChain { members, preds, kernel });
+        }
+    }
+    chains
+}
+
+/// Fuse `preds` (all reading the same tuple) into one kernel whose output
+/// `j` is `preds[0] && ... && preds[j]`, optimized at `level`; `None` when
+/// the splice does not verify (e.g. a non-boolean predicate).
+fn running_conjunction(preds: &[KernelBody], level: OptLevel) -> Option<KernelBody> {
+    let mut and = BodyBuilder::new(2);
+    and.emit_output(Expr::input(0).and(Expr::input(1)));
+    let and = and.build();
+    let k = preds.len();
+    let mut bodies: Vec<KernelBody> = preds.to_vec();
+    let mut wiring: Vec<Vec<SlotSource>> =
+        preds.iter().map(|p| (0..p.n_inputs).map(SlotSource::External).collect()).collect();
+    let mut outputs = vec![FusedOutput { body: 0, output: 0 }];
+    // Stage k + j - 1 ANDs the running conjunction so far with member j.
+    for j in 1..k {
+        let acc = if j == 1 { 0 } else { k + j - 2 };
+        bodies.push(and.clone());
+        wiring.push(vec![
+            SlotSource::Producer { body: acc, output: 0 },
+            SlotSource::Producer { body: j, output: 0 },
+        ]);
+        outputs.push(FusedOutput { body: k + j - 1, output: 0 });
+    }
+    let fused = fuse(&bodies, &wiring, &outputs).ok()?;
+    Some(optimize(&fused, level))
 }
 
 impl FusionPlan {
@@ -154,7 +291,7 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
             final_of[m] = Some(gi);
         }
     }
-    let plan = FusionPlan { group_of: final_of, groups: final_groups };
+    let plan = FusionPlan { group_of: final_of, groups: final_groups, chains: Vec::new() };
     // Pass sandwich: the legality checker audits every fusion decision. A
     // failure here is a bug in this pass, not in the caller's plan.
     #[cfg(feature = "check")]
@@ -298,6 +435,42 @@ mod tests {
         let tight = FusionBudget { max_regs_per_thread: kfusion_relalg::profiles::STAGE_REGS + 5 };
         let plan = fuse_plan(&g, &tight, OptLevel::O3);
         assert_eq!(plan.groups.len(), 1, "collapsible chain split: {:?}", plan.groups);
+    }
+
+    fn three_select_chain(t: u64) -> PlanGraph {
+        let mut g = PlanGraph::new();
+        let mut cur = g.input(0);
+        for k in 0..3 {
+            cur = g.add(OpKind::Select { pred: predicates::key_lt(t + k) }, vec![cur]);
+        }
+        g
+    }
+
+    /// A chain only runs on a graph it still describes: same predicates,
+    /// same edges, and no interior member read twice or requested.
+    #[test]
+    fn fused_chain_matches_only_its_own_graph() {
+        let g = three_select_chain(10);
+        let plan = fuse(&g);
+        let chains = select_chains(&g, &plan, &[g.root], OptLevel::O3);
+        assert_eq!(chains.len(), 1);
+        let chain = &chains[0];
+        assert_eq!(chain.members, vec![1, 2, 3]);
+        assert_eq!(chain.kernel.outputs.len(), 3, "one running conjunction per member");
+        assert!(chain.matches(&g, &g.consumer_counts(), &[g.root]));
+        // Another literal on the same shape.
+        let other = three_select_chain(20);
+        assert!(!chain.matches(&other, &other.consumer_counts(), &[other.root]));
+        // An interior member requested as a root.
+        assert!(!chain.matches(&g, &g.consumer_counts(), &[g.root, 2]));
+        // An interior member read by a second consumer.
+        let mut read_twice = g.clone();
+        read_twice.add(OpKind::Sort { by: SortBy::Key }, vec![2]);
+        assert!(!chain.matches(&read_twice, &read_twice.consumer_counts(), &[3]));
+        // Rewired edges.
+        let mut rewired = g.clone();
+        rewired.nodes[3].inputs = vec![1];
+        assert!(!chain.matches(&rewired, &rewired.consumer_counts(), &[3]));
     }
 
     #[test]

@@ -219,9 +219,12 @@ enum Fused {
     /// `out0 = p * (c_sub - d)`, `out1 = out0 * (c_add + t)` over f64
     /// (Q1's discounted/charged price pair).
     MoneyPair { price: u32, disc: u32, tax: u32, c_sub: f64, c_add: f64 },
-    /// `out0 = term_0 && term_1 && ...`, each term `in[slot] <op> const`
-    /// (every Q1/Q6 SELECT predicate, including the two-sided range).
-    CmpChain { terms: Vec<CmpTerm> },
+    /// `out_j = term_0 && ... && term_{ends[j] - 1}`, each term
+    /// `in[slot] <op> const`: every Q1/Q6 SELECT predicate (one output,
+    /// including the two-sided range), and a fused SELECT chain's running
+    /// conjunctions (one output per member, each the previous one `&&` the
+    /// member's terms).
+    CmpChain { terms: Vec<CmpTerm>, ends: Vec<usize> },
 }
 
 /// One comparison of a `CmpChain`: `in[slot] <op> rhs`.
@@ -335,11 +338,33 @@ impl Fused {
                 _ => false,
             }
         }
-        match outputs {
-            [o] if reg_ty[*o as usize] == Ty::Bool => {
-                let mut terms = Vec::new();
-                chain_terms(instrs, *o, &mut terms).then_some(Fused::CmpChain { terms })
+        // Running conjunctions: out_0 is a conjunction tree, every later
+        // output ANDs its predecessor with one more tree (or repeats it).
+        let prefix_chain = || -> Option<Fused> {
+            let (mut terms, mut ends) = (Vec::new(), Vec::with_capacity(outputs.len()));
+            for (j, &o) in outputs.iter().enumerate() {
+                let ok = match (j, instrs[o as usize]) {
+                    (0, _) => chain_terms(instrs, o, &mut terms),
+                    _ if o == outputs[j - 1] => true,
+                    (_, Instr::Bin { op: BinOp::And, lhs, rhs }) if lhs == outputs[j - 1] => {
+                        chain_terms(instrs, rhs, &mut terms)
+                    }
+                    (_, Instr::Bin { op: BinOp::And, lhs, rhs }) if rhs == outputs[j - 1] => {
+                        chain_terms(instrs, lhs, &mut terms)
+                    }
+                    _ => false,
+                };
+                if !ok {
+                    return None;
+                }
+                ends.push(terms.len());
             }
+            Some(Fused::CmpChain { terms, ends })
+        };
+        if !outputs.is_empty() && outputs.iter().all(|&o| reg_ty[o as usize] == Ty::Bool) {
+            return prefix_chain();
+        }
+        match outputs {
             [o] => pack(*o),
             [o0, o1] => money(*o0, *o1),
             _ => None,
@@ -576,20 +601,28 @@ impl BatchMachine {
                     d1[j] = dp * (c_add + t[base + j]);
                 }
             }
-            Fused::CmpChain { terms } => {
-                let d = match &mut self.banks[k.outputs[0] as usize] {
-                    Bank::Bool(d) => d,
-                    _ => unreachable!("predicate output is bool"),
-                };
-                for (w, dw) in d.iter_mut().enumerate().take(n.div_ceil(64)) {
+            Fused::CmpChain { terms, ends } => {
+                for w in 0..n.div_ceil(64) {
                     let lo = w * 64;
                     let hi = (lo + 64).min(n);
                     // Lanes >= n of the last word cleared, like store_lanes.
                     let mut acc = if hi - lo == 64 { u64::MAX } else { (1u64 << (hi - lo)) - 1 };
-                    for term in terms {
-                        acc &= cmp_term_word(term, cols, base + lo, hi - lo);
+                    let mut t = 0;
+                    for (&end, &o) in ends.iter().zip(k.outputs.iter()) {
+                        // Comparisons have no effects, so a word no lane
+                        // survives skips the rest of its terms.
+                        for term in &terms[t..end] {
+                            if acc == 0 {
+                                break;
+                            }
+                            acc &= cmp_term_word(term, cols, base + lo, hi - lo);
+                        }
+                        t = end;
+                        match &mut self.banks[o as usize] {
+                            Bank::Bool(d) => d[w] = acc,
+                            _ => unreachable!("predicate output is bool"),
+                        }
                     }
-                    *dw = acc;
                 }
             }
         }
@@ -708,50 +741,49 @@ fn f64_lanes<'a>(col: ColRef<'a>) -> &'a [f64] {
 /// evaluated at rows `start .. start + lanes`.
 #[inline]
 fn cmp_term_word(term: &CmpTerm, cols: &[ColRef<'_>], start: usize, lanes: usize) -> u64 {
-    let mut m = 0u64;
+    let range = start..start + lanes;
     match (cols[term.slot as usize], term.rhs) {
-        (ColRef::I64(s), Value::I64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_i64(term.op, v, c) as u64) << j;
-            }
-        }
-        (ColRef::KeyU64(s), Value::I64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_i64(term.op, v as i64, c) as u64) << j;
-            }
-        }
-        (ColRef::F64(s), Value::F64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_f64(term.op, v, c) as u64) << j;
-            }
-        }
+        (ColRef::I64(s), Value::I64(c)) => cmp_word(&s[range], term.op, c, |v| v),
+        (ColRef::KeyU64(s), Value::I64(c)) => cmp_word(&s[range], term.op, c, |v| v as i64),
+        (ColRef::F64(s), Value::F64(c)) => cmp_word(&s[range], term.op, c, |v| v),
         _ => unreachable!("binding checked by CompiledKernel::check_binding"),
     }
-    m
 }
 
-#[inline]
-fn cmp_scalar_i64(op: CmpOp, a: i64, b: i64) -> bool {
+/// One mask word of `load(lane) <op> c` over `lanes` (at most 64): the
+/// operator is matched once per word, so each arm is a tight lane loop.
+#[inline(always)]
+fn cmp_word<S: Copy, T: PartialOrd + Copy>(
+    lanes: &[S],
+    op: CmpOp,
+    c: T,
+    load: impl Fn(S) -> T + Copy,
+) -> u64 {
     match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
+        CmpOp::Lt => word_bits(lanes, load, |v| v < c),
+        CmpOp::Le => word_bits(lanes, load, |v| v <= c),
+        CmpOp::Gt => word_bits(lanes, load, |v| v > c),
+        CmpOp::Ge => word_bits(lanes, load, |v| v >= c),
+        CmpOp::Eq => word_bits(lanes, load, |v| v == c),
+        CmpOp::Ne => word_bits(lanes, load, |v| v != c),
     }
 }
 
-#[inline]
-fn cmp_scalar_f64(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
+#[inline(always)]
+fn word_bits<S: Copy, T>(lanes: &[S], load: impl Fn(S) -> T, hit: impl Fn(T) -> bool) -> u64 {
+    // Whole 8-lane groups pack with constant shifts, which the compiler
+    // turns into vector compares and mask moves; the tail goes lane by lane.
+    let groups = lanes.chunks_exact(8);
+    let tail = groups.remainder();
+    let mut m = 0u64;
+    for (g, group) in groups.enumerate() {
+        let group: &[S; 8] = group.try_into().expect("exact chunk");
+        let byte =
+            group.iter().enumerate().fold(0u64, |b, (k, &v)| b | u64::from(hit(load(v))) << k);
+        m |= byte << (8 * g);
     }
+    let done = lanes.len() - tail.len();
+    tail.iter().enumerate().fold(m, |m, (j, &v)| m | u64::from(hit(load(v))) << (done + j))
 }
 
 fn copy_bank(dst: &mut Bank, src: &Bank, n: usize) {
@@ -1140,6 +1172,46 @@ mod tests {
             &rows,
             "cmp_chain",
         );
+    }
+
+    #[test]
+    fn fused_running_conjunctions_match_interp() {
+        // A fused SELECT chain's kernel: out0 = key < 200, out1 = out0 &&
+        // disc >= lo, out2 = (disc <= hi && qty < 24) && out1 (operand order
+        // swapped), out3 = out2 repeated.
+        let mut body = KernelBody::new(3);
+        let key = body.push(Instr::LoadInput { slot: 0 });
+        let disc = body.push(Instr::LoadInput { slot: 1 });
+        let qty = body.push(Instr::LoadInput { slot: 2 });
+        let cmp = |body: &mut KernelBody, op, lhs, c: Value| {
+            let rhs = body.push(Instr::Const { value: c });
+            body.push(Instr::Cmp { op, lhs, rhs })
+        };
+        let o0 = cmp(&mut body, CmpOp::Lt, key, Value::I64(200));
+        let lo = cmp(&mut body, CmpOp::Ge, disc, Value::F64(0.0499));
+        let o1 = body.push(Instr::Bin { op: BinOp::And, lhs: o0, rhs: lo });
+        let hi = cmp(&mut body, CmpOp::Le, disc, Value::F64(0.0701));
+        let q = cmp(&mut body, CmpOp::Lt, qty, Value::F64(24.0));
+        let range = body.push(Instr::Bin { op: BinOp::And, lhs: hi, rhs: q });
+        let o2 = body.push(Instr::Bin { op: BinOp::And, lhs: range, rhs: o1 });
+        body.outputs = vec![o0, o1, o2, o2];
+        let disc: Vec<f64> = (0..300).map(|i| (i % 13) as f64 * 0.007).collect();
+        let qty: Vec<f64> = (0..300).map(|i| (i % 50) as f64).collect();
+        let keys: Vec<u64> = (0..300).collect();
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|j| vec![Value::I64(keys[j] as i64), Value::F64(disc[j]), Value::F64(qty[j])])
+            .collect();
+        assert_fused_matches_interp(
+            &body,
+            &[Some(Ty::I64), Some(Ty::F64), Some(Ty::F64)],
+            &[ColRef::KeyU64(&keys), ColRef::F64(&disc), ColRef::F64(&qty)],
+            &rows,
+            "cmp_chain",
+        );
+        // An output that is not its predecessor's extension stays generic.
+        body.outputs = vec![o0, range];
+        let k = CompiledKernel::compile(&body, &[Some(Ty::I64), Some(Ty::F64), Some(Ty::F64)]);
+        assert_eq!(k.unwrap().fused_primitive(), None);
     }
 
     #[test]

@@ -186,6 +186,25 @@ impl Column {
     }
 }
 
+/// Replace `dst`'s contents with `idx.iter().map(|&i| src[i])`, reusing its
+/// capacity; filled over the bounded worker set in [`PAR_COPY_MIN_ROWS`]-row
+/// windows once it is that large.
+fn par_gather_into<T: Copy + Default + Send + Sync>(src: &[T], idx: &[usize], dst: &mut Vec<T>) {
+    if idx.len() < PAR_COPY_MIN_ROWS {
+        dst.clear();
+        dst.extend(idx.iter().map(|&i| src[i]));
+        return;
+    }
+    resize_zeroed_vec(dst, idx.len());
+    let windows: Vec<_> =
+        dst.chunks_mut(PAR_COPY_MIN_ROWS).zip(idx.chunks(PAR_COPY_MIN_ROWS)).collect();
+    kfusion_vgpu::exec::par_for_each(windows, |_, (out, ids)| {
+        for (o, &i) in out.iter_mut().zip(ids) {
+            *o = src[i];
+        }
+    });
+}
+
 pub(crate) fn resize_zeroed_vec<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
     if v.capacity() < n {
         *v = vec![T::default(); n];
@@ -553,6 +572,32 @@ impl Relation {
             }
         });
         out
+    }
+
+    /// [`Relation::gathered`] for an owned relation: row `i` becomes row
+    /// `idx[i]`, one column at a time. Each column gathers into a spare
+    /// buffer of its type and swaps with it, and the column's old buffer
+    /// becomes the spare for the next one — so the reorder holds at most
+    /// one spare column per value type instead of a second relation, and
+    /// allocates at most three buffers whatever the width. Large columns
+    /// gather in parallel over disjoint output windows.
+    pub(crate) fn gather_in_place(&mut self, idx: &[usize]) {
+        let mut spare_key = Vec::new();
+        par_gather_into(&self.key, idx, &mut spare_key);
+        self.key = spare_key;
+        let (mut spare_i64, mut spare_f64) = (Vec::new(), Vec::new());
+        for c in &mut self.cols {
+            match c {
+                Column::I64(v) => {
+                    par_gather_into(v, idx, &mut spare_i64);
+                    std::mem::swap(v, &mut spare_i64);
+                }
+                Column::F64(v) => {
+                    par_gather_into(v, idx, &mut spare_f64);
+                    std::mem::swap(v, &mut spare_f64);
+                }
+            }
+        }
     }
 
     /// Append the rows at `base + idx[..]` of `src` (same schema) onto

@@ -74,6 +74,17 @@ pub fn column_join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     Relation::new(a.key.clone(), cols)
 }
 
+/// [`column_join`] for a caller that owns `a`: `b`'s columns are appended
+/// to `a` in place, so the key and `a`'s columns move instead of cloning.
+/// Used by the plan executor for single-consumer intermediates.
+pub fn column_join_owned(mut a: Relation, b: &Relation) -> Result<Relation, RelError> {
+    if a.key != b.key {
+        return Err(RelError::SchemaMismatch);
+    }
+    a.cols.extend(b.cols.iter().cloned());
+    Ok(a)
+}
+
 /// Semijoin: tuples of `a` whose key appears in `b` (EXISTS). Keeps `a`'s
 /// schema; duplicate matches in `b` do not duplicate output.
 pub fn semijoin(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
@@ -172,6 +183,7 @@ mod tests {
         assert_eq!(wide.n_cols(), 2);
         assert_eq!(wide.cols[0].as_f64().unwrap(), &[1.0, 2.0]);
         assert_eq!(wide.cols[1].as_i64().unwrap(), &[5, 6]);
+        assert_eq!(column_join_owned(a, &b).unwrap(), wide);
     }
 
     #[test]
@@ -179,6 +191,7 @@ mod tests {
         let a = Relation::from_keys(vec![0, 1]);
         let b = Relation::from_keys(vec![0, 2]);
         assert!(matches!(column_join(&a, &b), Err(RelError::SchemaMismatch)));
+        assert!(matches!(column_join_owned(a, &b), Err(RelError::SchemaMismatch)));
     }
 
     #[test]

@@ -20,10 +20,10 @@ use crate::data::{
     col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
 use crate::engine::Engine;
-use kfusion_ir::batch::{CompiledKernel, BATCH_ROWS};
+use kfusion_ir::batch::{BankView, CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::{KernelBody, Ty, Value};
-use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{cta_ranges, par_for_each, par_range_map, DEFAULT_CTA_CHUNK};
 
 /// Compile `predicate` for batch execution over `input`'s columns, if
 /// `engine` is [`Engine::Batch`] and the body both resolves to concrete
@@ -154,65 +154,9 @@ pub fn select_into(
     out.clear();
     kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
     if let Some(k) = compile_predicate(input, predicate, engine) {
-        // Phase 1 — partition + filter: each CTA evaluates the predicate
-        // batch-at-a-time and keeps only the selection bitmask plus its
-        // popcount (selection is bitmap-only — unselected lanes are never
-        // written anywhere). Mask storage is one word per 64 rows, sized in
-        // the per-morsel setup; the per-batch loop inside the steady-state
-        // region allocates nothing. `BATCH_ROWS` is 64-divisible, so every
-        // non-final batch contributes whole words and the chunk's words
-        // concatenate exactly.
-        let parts: Vec<(Vec<u64>, usize)> =
-            par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
-                crate::scratch::with_scratch(|s| {
-                    let cols = input.ir_cols();
-                    let mut bm = s.machine(&k);
-                    let mut words: Vec<u64> = Vec::with_capacity(range.len().div_ceil(64) + 16);
-                    let mut count = 0usize;
-                    {
-                        let _steady = kfusion_trace::allocwatch::region();
-                        let mut base = range.start;
-                        while base < range.end {
-                            let n = (range.end - base).min(BATCH_ROWS);
-                            bm.run(&k, &cols, base, n);
-                            let mask = bm.selection_mask(&k);
-                            for (w, &word) in mask.iter().enumerate().take(n.div_ceil(64)) {
-                                let lo = w * 64;
-                                let mut m = word;
-                                if n - lo < 64 {
-                                    m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
-                                }
-                                count += m.count_ones() as usize;
-                                words.push(m);
-                            }
-                            base += n;
-                        }
-                    }
-                    s.put_machine(&k, bm);
-                    (words, count)
-                })
-            });
-        // Phase 2 — global sync + gather: survivors copy straight from the
-        // input into disjoint windows of the output, one worker per CTA, so
-        // the result is materialized exactly once.
-        let counts: Vec<usize> = parts.iter().map(|p| p.1).collect();
-        let total: usize = counts.iter().sum();
-        out.reset_like(input);
-        resize_zeroed_vec(&mut out.key, total);
-        for c in &mut out.cols {
-            c.resize_zeroed(total);
-        }
-        let ranges = cta_ranges(input.len(), DEFAULT_CTA_CHUNK);
-        let key_wins = slice_windows(&mut out.key, &counts);
-        let col_wins = col_windows(&mut out.cols, &counts);
-        std::thread::scope(|scope| {
-            for (((range, (words, _)), kw), cw) in
-                ranges.into_iter().zip(&parts).zip(key_wins).zip(col_wins)
-            {
-                scope.spawn(move || scatter_window(input, range.start, words, kw, cw));
-            }
-        });
-        kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", total as u64);
+        let mut count = [0u64];
+        filter_pass(input, &k, out, &mut count);
+        kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", count[0]);
         return Ok(());
     }
     // Scalar fallback: per-tuple interpretation.
@@ -234,6 +178,123 @@ pub fn select_into(
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
     Ok(())
+}
+
+/// The two-phase batch SELECT over a compiled filter `k` whose outputs are
+/// all boolean: `out` receives the rows output `k.n_outputs() - 1` selects,
+/// and `counts[j]` how many rows output `j` selects.
+///
+/// Phase 1 — partition + filter: each CTA evaluates `k` batch-at-a-time,
+/// popcounts every output's mask and keeps only the last output's words
+/// (selection is bitmap-only — unselected lanes are never written
+/// anywhere). Mask storage is one word per 64 rows, sized in the per-morsel
+/// setup; the per-batch loop inside the steady-state region allocates
+/// nothing. `BATCH_ROWS` is 64-divisible, so every non-final batch
+/// contributes whole words and the chunk's words concatenate exactly.
+///
+/// Phase 2 — global sync + gather: survivors copy straight from the input
+/// into disjoint windows of the output, one work item per CTA over the
+/// bounded worker set, so the result is materialized exactly once.
+fn filter_pass(input: &Relation, k: &CompiledKernel, out: &mut Relation, counts: &mut [u64]) {
+    let last = k.n_outputs() - 1;
+    debug_assert_eq!(counts.len(), k.n_outputs());
+    let parts: Vec<(Vec<u64>, Vec<u64>)> =
+        par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
+            crate::scratch::with_scratch(|s| {
+                let cols = input.ir_cols();
+                let mut bm = s.machine(k);
+                let mut words: Vec<u64> = Vec::with_capacity(range.len().div_ceil(64) + 16);
+                let mut cta_counts = vec![0u64; k.n_outputs()];
+                {
+                    let _steady = kfusion_trace::allocwatch::region();
+                    let mut base = range.start;
+                    while base < range.end {
+                        let n = (range.end - base).min(BATCH_ROWS);
+                        bm.run(k, &cols, base, n);
+                        for (j, count) in cta_counts.iter_mut().enumerate() {
+                            let BankView::Bool(mask) = bm.output(k, j) else {
+                                unreachable!("filter outputs are boolean")
+                            };
+                            for (w, &word) in mask.iter().enumerate().take(n.div_ceil(64)) {
+                                let lo = w * 64;
+                                let mut m = word;
+                                if n - lo < 64 {
+                                    m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
+                                }
+                                *count += u64::from(m.count_ones());
+                                if j == last {
+                                    words.push(m);
+                                }
+                            }
+                        }
+                        base += n;
+                    }
+                }
+                s.put_machine(k, bm);
+                (words, cta_counts)
+            })
+        });
+    let survivors: Vec<usize> = parts.iter().map(|p| p.1[last] as usize).collect();
+    let total: usize = survivors.iter().sum();
+    for (j, count) in counts.iter_mut().enumerate() {
+        *count = parts.iter().map(|p| p.1[j]).sum();
+    }
+    out.reset_like(input);
+    resize_zeroed_vec(&mut out.key, total);
+    for c in &mut out.cols {
+        c.resize_zeroed(total);
+    }
+    let ranges = cta_ranges(input.len(), DEFAULT_CTA_CHUNK);
+    let key_wins = slice_windows(&mut out.key, &survivors);
+    let col_wins = col_windows(&mut out.cols, &survivors);
+    let work: Vec<_> = ranges.into_iter().zip(&parts).zip(key_wins).zip(col_wins).collect();
+    par_for_each(work, |_cta, (((range, (words, _)), kw), cw)| {
+        scatter_window(input, range.start, words, kw, cw)
+    });
+}
+
+/// Filter `input` by a fused SELECT chain in one pass: `fused` is the
+/// chain's fused kernel, whose output `j` is the conjunction of
+/// `members[..=j]` (the chain's predicates, producer first). Returns the
+/// rows the whole conjunction keeps — gathered once, in input order, so
+/// exactly the relation the members would produce one after another — and
+/// each member's exact row count (the popcount of its running
+/// conjunction).
+///
+/// Returns `None` when the pass cannot stand in for the members: when
+/// `fused` or any member does not compile for the batch engine against
+/// `input`'s columns, or `fused`'s outputs do not match the chain. The
+/// caller then evaluates the members one by one, which keeps the per-row
+/// fallback's error behavior.
+pub fn select_fused(
+    input: &Relation,
+    members: &[KernelBody],
+    fused: &KernelBody,
+) -> Option<(Relation, Vec<u64>)> {
+    if members.is_empty() || fused.outputs.len() != members.len() {
+        return None;
+    }
+    let mut out = input.empty_like();
+    let mut counts = vec![0; members.len()];
+    if !input.is_empty() {
+        let compiles = |body: &KernelBody| compile_predicate(input, body, Engine::Batch).is_some();
+        let k = match CompiledKernel::compile(fused, &input.ir_slot_types()) {
+            Ok(k) if members.iter().all(compiles) => k,
+            _ => return None,
+        };
+        if (0..k.n_outputs()).any(|j| k.output_ty(j) != Ty::Bool)
+            || k.check_binding(&input.ir_cols()).is_err()
+        {
+            return None;
+        }
+        filter_pass(input, &k, &mut out, &mut counts);
+    }
+    // Row counters stay per member — the rows each SELECT of the chain
+    // reads and keeps — so they read the same as member-by-member runs.
+    let rows_in = input.len() as u64 + counts[..counts.len() - 1].iter().sum::<u64>();
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", rows_in);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", counts.iter().sum());
+    Some((out, counts))
 }
 
 /// SELECT with a *chain* of predicates applied as separate passes — the

@@ -22,6 +22,10 @@ pub struct ExplainNode {
     pub host_seconds: f64,
     /// Fusion group index, when the fuser placed this node in a group.
     pub fusion_group: Option<usize>,
+    /// The fused host pass that evaluated this node — a SELECT chain run
+    /// as one kernel over its input — when it did not run as its own
+    /// operator. Members of one pass share the index.
+    pub fused_pass: Option<usize>,
     /// Liveness-precise register pressure of the node's (or its group's)
     /// kernel body; 0 for nodes that emit no kernel.
     pub max_live_regs: u32,
@@ -38,6 +42,7 @@ impl ExplainNode {
             sim_seconds: 0.0,
             host_seconds: 0.0,
             fusion_group: None,
+            fused_pass: None,
             max_live_regs: 0,
             children: Vec::new(),
         }
@@ -53,8 +58,9 @@ impl ExplainNode {
             Some(g) => format!("group=g{g}"),
             None => "group=-".to_string(),
         };
+        let pass = self.fused_pass.map(|p| format!("  pass=p{p}")).unwrap_or_default();
         format!(
-            "rows={}  sim={:.6} ms  host={:.3} ms  {group}  live_regs={}",
+            "rows={}  sim={:.6} ms  host={:.3} ms  {group}{pass}  live_regs={}",
             self.rows,
             self.sim_seconds * 1e3,
             self.host_seconds * 1e3,

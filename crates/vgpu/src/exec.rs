@@ -43,8 +43,8 @@ where
         return Vec::new();
     }
     kfusion_trace::counter("kfusion_host_morsels_total", n_ctas as u64);
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n_ctas);
-    if workers <= 1 || n_ctas == 1 {
+    let workers = worker_count(n_ctas);
+    if workers <= 1 {
         return ranges.into_iter().enumerate().map(|(i, r)| work(i, &input[r])).collect();
     }
     let mut results: Vec<Option<R>> = (0..n_ctas).map(|_| None).collect();
@@ -62,6 +62,14 @@ where
         }
     });
     results.into_iter().map(|r| r.expect("all CTAs filled")).collect()
+}
+
+/// Host workers for `n_ctas` CTAs: one per available core (probed once per
+/// process), never more than there are CTAs.
+fn worker_count(n_ctas: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
+    cores.min(n_ctas)
 }
 
 /// Partition `slots` into `workers` interleaved views: worker `w` owns slots
@@ -89,8 +97,8 @@ where
         return Vec::new();
     }
     kfusion_trace::counter("kfusion_host_morsels_total", n_ctas as u64);
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n_ctas);
-    if workers <= 1 || n_ctas == 1 {
+    let workers = worker_count(n_ctas);
+    if workers <= 1 {
         return ranges.into_iter().enumerate().map(|(i, r)| work(i, r)).collect();
     }
     let mut results: Vec<Option<R>> = (0..n_ctas).map(|_| None).collect();
@@ -107,6 +115,33 @@ where
         }
     });
     results.into_iter().map(|r| r.expect("all CTAs filled")).collect()
+}
+
+/// Consume `items` in parallel, one `work(index, item)` call each, over the
+/// same bounded, interleaved worker set as [`par_range_map`]: worker `w`
+/// takes items `w, w + workers, ...`. For per-CTA work that owns its state
+/// — a SELECT gather writing its CTA's disjoint output window — where a
+/// result-collecting map does not fit.
+pub fn par_for_each<T, F>(items: Vec<T>, work: F)
+where
+    T: Send,
+    F: Fn(usize, T) + Sync,
+{
+    let workers = worker_count(items.len());
+    if workers <= 1 {
+        items.into_iter().enumerate().for_each(|(i, item)| work(i, item));
+        return;
+    }
+    let mut lanes: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        lanes[i % workers].push((i, item));
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for lane in lanes {
+            scope.spawn(move || lane.into_iter().for_each(|(i, item)| work(i, item)));
+        }
+    });
 }
 
 /// Parallel map over equal chunks followed by an associative reduction — for
@@ -183,6 +218,21 @@ mod tests {
         let data: Vec<i64> = (1..=1_000_000).collect();
         let sum = par_map_reduce(&data, 4096, |p| p.iter().sum::<i64>(), |a, b| a + b, 0);
         assert_eq!(sum, 500_000_500_000);
+    }
+
+    #[test]
+    fn par_for_each_visits_every_item_once_on_bounded_workers() {
+        let seen: Vec<std::sync::atomic::AtomicUsize> =
+            (0..37).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        par_for_each((0..37).map(|i| i * 10).collect(), |i, item: usize| {
+            assert_eq!(item, i * 10, "item handed to the wrong index");
+            seen[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            threads.lock().unwrap().insert(std::thread::current().id());
+        });
+        assert!(seen.iter().all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 1));
+        assert!(threads.lock().unwrap().len() <= worker_count(37));
+        par_for_each(Vec::<u8>::new(), |_, _| unreachable!("no items"));
     }
 
     #[test]

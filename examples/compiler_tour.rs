@@ -223,6 +223,7 @@ fn checker_tour() {
     let illegal = FusionPlan {
         group_of: vec![None, Some(0), Some(1), Some(0)],
         groups: vec![vec![s1, s2], vec![sort]],
+        chains: Vec::new(),
     };
     let err = plan::check_fusion(&g, &illegal).expect_err("non-convex group");
     println!("\nillegal fusion rejected:\n  {err}");
